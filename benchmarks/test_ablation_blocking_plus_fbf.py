@@ -16,14 +16,13 @@ ground truth.
 
 from _common import save_result, table_n
 
-from repro.core.join import match_strings
-from repro.core.matchers import build_matcher
+import repro
 from repro.data.datasets import dataset_for_family
 from repro.distance.soundex import soundex
 from repro.eval.tables import format_table
 from repro.eval.timing import TimingProtocol, time_callable
 from repro.linkage.blocking import StandardBlocking
-from repro.parallel.chunked import ChunkedJoin
+from repro.parallel.chunked import VectorEngine
 
 
 def test_ablation_blocking_plus_fbf(benchmark):
@@ -34,10 +33,13 @@ def test_ablation_blocking_plus_fbf(benchmark):
     block_pairs = list(blocker.pairs(dp.clean, dp.error))
 
     def blocked(method: str):
-        matcher = build_matcher(method, k=1, scheme="alpha")
-        return match_strings(dp.clean, dp.error, matcher, pairs=block_pairs)
+        # the planner's "blocking" generator is this Soundex blocking
+        return repro.join(
+            dp.clean, dp.error, method, k=1, scheme="alpha",
+            generator="blocking", backend="scalar",
+        )
 
-    join = ChunkedJoin(dp.clean, dp.error, k=1, scheme_kind="alpha")
+    join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="alpha")
 
     results = {}
     rows = []

@@ -16,7 +16,7 @@ Quickstart::
 
 :func:`join` plans each call: a candidate generator (all-pairs, length
 buckets, the FBF signature index, key blocking) picks which pairs to
-look at, an execution backend (scalar, vectorized, multiprocess)
+look at, an execution backend (scalar, vectorized, native, hybrid)
 verifies them, and a cost model composes the two from dataset size —
 see :mod:`repro.core.plan` for overrides and :class:`JoinPlanner` for
 reuse across calls.  Duplicate-heavy inputs are collapsed to their
@@ -37,7 +37,9 @@ Package map (details in DESIGN.md):
 * :mod:`repro.linkage` — the record-linkage system (comparators,
   scorers, blocking, engine).
 * :mod:`repro.parallel` — scaled join drivers (chunked NumPy engine,
-  multiprocessing pool).
+  shared-memory worker pool).
+* :mod:`repro.native` — the compiled kernel tier (a C library built
+  locally on first use, NumPy fallback).
 * :mod:`repro.eval` — the paper's experiments, timing protocols and
   table rendering.
 * :mod:`repro.serve` — online match serving: mutable indexes with
@@ -51,7 +53,7 @@ Package map (details in DESIGN.md):
 """
 
 from repro.core.filters import FBFFilter, FilterChain, LengthFilter
-from repro.core.join import JoinResult, match_strings
+from repro.core.join import JoinResult
 from repro.core.matchers import METHOD_NAMES, build_matcher
 from repro.core.multiplicity import (
     CollapsedSide,
@@ -78,14 +80,13 @@ from repro.distance import (
     soundex,
 )
 from repro.obs import StatsCollector, render_funnel
-from repro.parallel.chunked import ChunkedJoin, VectorEngine
+from repro.parallel.chunked import VectorEngine
 from repro.serve import MatchService, MutableIndex, QueryResult
 from repro.stream import StreamResult, join_stream
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
-    "ChunkedJoin",
     "CollapsedSide",
     "FBFFilter",
     "FilterChain",
@@ -115,7 +116,6 @@ __all__ = [
     "join",
     "join_stream",
     "levenshtein",
-    "match_strings",
     "num_signature",
     "pdl",
     "render_funnel",

@@ -62,7 +62,7 @@ from repro.core.plan import (
     JoinPlanner,
 )
 from repro.linkage.resolution import resolve
-from repro.stream.driver import STREAM_GENERATORS
+from repro.stream.driver import _STREAM_BACKENDS, STREAM_GENERATORS
 from repro.obs import (
     StatsCollector,
     configure_logging,
@@ -150,8 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--backend",
         default="auto",
-        choices=["auto", "scalar", "vectorized", "hybrid"],
-        help="execution backend (auto: hybrid when --workers > 1)",
+        choices=["auto", *_STREAM_BACKENDS],
+        help=(
+            "execution backend (auto: hybrid when --workers > 1, else "
+            "native when the compiled kernels load, else vectorized)"
+        ),
     )
     stream.add_argument(
         "--workers",
@@ -414,7 +417,7 @@ def _common_join_args(sub: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help=(
-            "worker processes for the multiprocess/hybrid backends "
+            "worker processes for the hybrid backend "
             "(with N > 1 the cost model may auto-pick hybrid for "
             "large products)"
         ),
@@ -552,7 +555,7 @@ def _planned_join(args: argparse.Namespace, left, right, collector):
             reasons = "; ".join(
                 f"{name}: {why}" for name, why in status["providers"].items()
             )
-            native_line = f"unavailable ({reasons or 'no providers'})"
+            native_line = f"unavailable ({reasons})"
         print(f"# native kernels: {native_line}", file=sys.stderr)
         for cost in planner.generator_costs(args.method):
             score = "lossy" if cost.cost == float("inf") else f"{cost.cost:,.0f}"

@@ -21,8 +21,8 @@ composable pieces that make plan cost proportional to the number of
   pairs, so the weighted totals reproduce the full product exactly:
   ``sum_{u<v} 2*c_u*c_v + sum_u c_u**2 == n**2``.
 * a bounded **verification memo** — :class:`VerificationMemo` caches
-  verifier verdicts under a canonical ``(s, t)`` key so the scalar and
-  multiprocess backends verify each distinct string pair once even when
+  verifier verdicts under a canonical ``(s, t)`` key so the scalar
+  backend verifies each distinct string pair once even when
   duplicates (or a candidate generator) resurface it.
 
 The planner (:mod:`repro.core.plan`) estimates the uniqueness ratio

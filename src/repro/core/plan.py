@@ -1,11 +1,8 @@
 """The join planner: candidate generation × execution backends.
 
 The paper's driver (Algorithm 7) walks the full ``S x T`` product and
-filters per pair; the repo long duplicated that loop three ways (scalar,
-vectorized, multiprocess) while its sub-quadratic structures — the FBF
-signature index, length bucketing, key blocking — sat outside the join.
-This module decouples the two halves every related system (PASS-JOIN,
-py_stringsimjoin) decouples:
+filters per pair.  This module decouples the two halves every related
+system (PASS-JOIN, py_stringsimjoin) decouples:
 
 * a :class:`CandidateGenerator` decides *which pairs to look at* —
   :class:`AllPairsGenerator` (the paper's product),
@@ -19,10 +16,11 @@ py_stringsimjoin) decouples:
   :class:`BlockingKeyGenerator` (traditional key blocking — *lossy*,
   never auto-picked);
 * an :class:`ExecutionBackend` decides *how to verify them* —
-  ``scalar`` (the reference loop), ``vectorized`` (NumPy chunks),
-  ``multiprocess`` (scalar loop over a process pool), or ``hybrid``
-  (vectorized chunk kernels over a shared-memory worker pool — see
-  :mod:`repro.parallel.shm`);
+  ``scalar`` (the reference loop, :func:`repro.core.join._scalar_join`,
+  and the oracle for every other backend), ``vectorized`` (NumPy
+  chunks), ``native`` (the same chunks with the compiled kernels of
+  :mod:`repro.native`), or ``hybrid`` (vectorized chunk kernels over a
+  shared-memory worker pool — see :mod:`repro.parallel.shm`);
 * :class:`JoinPlanner` composes one of each from dataset size, the
   method spec and ``k`` via a small cost model, with explicit overrides
   for benchmarks, and runs the plan to a unified
@@ -52,10 +50,10 @@ the unique-value product with per-pair weights keeping every counter in
 original-pair units; self-joins (same dataset on both sides, detected
 or forced with ``self_join=True``) enumerate only the ``i <= j``
 triangle of the unique product; and a bounded verification memo lets
-the scalar and multiprocess backends verify each distinct string pair
-once on uncollapsed duplicate-bearing plans.  All of it is
-bit-identical to the uncollapsed plan (asserted by the equivalence
-suite) — only the enumerated-pair cost changes.
+the scalar backend verify each distinct string pair once on
+uncollapsed duplicate-bearing plans.  All of it is bit-identical to the
+uncollapsed plan (asserted by the equivalence suite) — only the
+enumerated-pair cost changes.
 
 Quickstart::
 
@@ -92,7 +90,6 @@ from repro.obs.log import get_logger
 from repro.obs.stats import NULL_COLLECTOR
 from repro.parallel.chunked import VectorEngine, _group_by_value
 from repro.parallel.partition import iter_pair_blocks
-from repro.parallel.pool import multiprocess_join
 
 __all__ = [
     "EDIT_BOUNDED",
@@ -125,7 +122,7 @@ _log = get_logger("core.plan")
 #: ``Ham <= k`` does imply both.
 EDIT_BOUNDED = frozenset({"dl", "pdl", "ham"})
 
-BACKEND_NAMES = ("scalar", "vectorized", "multiprocess", "hybrid", "native")
+BACKEND_NAMES = ("scalar", "vectorized", "hybrid", "native")
 
 Block = tuple[np.ndarray, np.ndarray]
 
@@ -556,8 +553,8 @@ class NativeBackend(VectorizedBackend):
 
     Identical dataflow, chunking and funnel accounting to
     :class:`VectorizedBackend` — the planner's cached engine is
-    temporarily armed with the :mod:`repro.native` kernel set (numba or
-    the ctypes/cc provider, whichever loaded), which swaps only the
+    temporarily armed with the :mod:`repro.native` kernel set (the
+    ctypes-loaded ``cc`` provider), which swaps only the
     innermost loops: the fused XOR+popcount candidate scan and the
     batched bit-parallel/banded OSA verifier.  Decisions are
     bit-identical by construction (providers must pass the native
@@ -585,32 +582,6 @@ class NativeBackend(VectorizedBackend):
             )
         finally:
             engine._native = prev
-
-
-class MultiprocessBackend(ExecutionBackend):
-    """The scalar loop fanned out over a process pool."""
-
-    name = "multiprocess"
-
-    def run(self, planner, method, blocks, *, collector, record_matches):
-        memo = planner.memo_for(method)
-        result = multiprocess_join(
-            planner.left,
-            planner.right,
-            method,
-            k=planner.k,
-            theta=planner.theta,
-            scheme_kind=planner.kind(),
-            workers=planner.workers,
-            record_matches=record_matches,
-            collector=collector,
-            pairs=None if blocks is None else list(_flatten(blocks)),
-            weighter=planner.weighter,
-            memo_capacity=memo.capacity if memo is not None else 0,
-            self_join=planner.content_equal,
-        )
-        result.backend = self.name
-        return result
 
 
 class HybridBackend(ExecutionBackend):
@@ -694,10 +665,10 @@ class JoinPlanner:
     needs the product to be large enough to amortize building the index
     (``index_min_pairs``) and a small ``k`` (window width scales bucket
     probes); the scalar backend is only right for products small enough
-    that NumPy setup dominates (``scalar_max_pairs``); multiprocess is
-    explicit-only, since process startup dwarfs any product the
-    vectorized engine can't already handle in-core.  Products above the
-    scalar cutoff prefer the native backend (same dataflow, compiled
+    that NumPy setup dominates (``scalar_max_pairs``); hybrid needs
+    ``workers > 1`` and a product of at least ``hybrid_min_pairs`` to
+    amortize the shared-memory pool.  Other products above the scalar
+    cutoff prefer the native backend (same dataflow, compiled
     constants) whenever a :mod:`repro.native` provider validated —
     otherwise vectorized.
     """
@@ -795,7 +766,6 @@ class JoinPlanner:
                 ScalarBackend(),
                 VectorizedBackend(),
                 NativeBackend(),
-                MultiprocessBackend(),
                 HybridBackend(),
             )
         }
@@ -899,8 +869,8 @@ class JoinPlanner:
         return self._len_groups
 
     def prepare(self, backend: str = "vectorized") -> None:
-        """Eagerly build the named backend's cached state (timing parity
-        with the pre-planner drivers, which prepared outside the clock)."""
+        """Eagerly build the named backend's cached state, so timing
+        loops can keep preparation outside the clock."""
         if backend == "vectorized":
             self.engine()
         elif backend == "hybrid":

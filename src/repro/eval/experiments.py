@@ -170,8 +170,8 @@ def run_string_experiment(
     # Table fidelity: the paper times every method over the full
     # product, so the generator is pinned to all-pairs unless the
     # caller asked for the planned (cost-model) path.  Cached engine
-    # state is built eagerly, outside the clock, exactly as the
-    # pre-planner harness constructed its join before timing.
+    # state is built eagerly, outside the clock, so only the join
+    # itself is timed.
     generator = None if engine == "planned" else "all-pairs"
     backend = None if engine == "planned" else engine
     if engine != "scalar":

@@ -19,7 +19,8 @@ implemented here:
 
 Every method implements :meth:`BlockingMethod.pairs`, yielding candidate
 ``(i, j)`` index pairs that plug straight into
-:func:`repro.core.join.match_strings` or the linkage engine.  The
+:func:`repro.join` (wrapped in
+:class:`repro.core.plan.BlockingKeyGenerator`) or the linkage engine.  The
 benchmark suite measures their pair-reduction ratio and, crucially, their
 *pairs completeness* (share of true matches retained) against the safe
 FBF filter.

@@ -1,4 +1,4 @@
-"""Compiled kernel tier: JIT'd hot kernels behind the backend protocol.
+"""Compiled kernel tier: hot kernels in C behind the backend protocol.
 
 The paper's constant factors come from signatures living in machine
 words — one XOR + POPCNT per pair — and from the verifier being a tight
@@ -14,38 +14,30 @@ package closes that gap with three compiled kernels:
 3. a banded-DP kernel for longer strings, mirroring
    ``distance/pruned.py::_banded_osa``.
 
-Two interchangeable providers implement them:
-
-* ``numba`` — ``@njit(parallel=True)`` twins, used when numba is
-  importable (``pip install repro[native]``).
-* ``cc`` — a C translation unit compiled on first use with the host's
-  C compiler and loaded via ctypes (content-addressed on-disk cache).
-
-Provider selection is automatic (numba first, then cc) and every
-provider must pass a bit-exactness self-check against the scalar
-references before it is offered; a provider that fails validation is
-treated as absent.  When neither provider loads, callers fall back to
-the NumPy tier — ``resolve_kernels("native")`` warns once (via
-:func:`repro._compat.warn_once`) instead of raising, so
-``backend="native"`` degrades gracefully on machines without numba or
-a C toolchain.
+One provider implements them: ``cc``, a C translation unit compiled on
+first use with the host's C compiler and loaded via ctypes
+(content-addressed on-disk cache, see :mod:`repro.native._csrc`).  It
+must pass a bit-exactness self-check against the scalar references
+before it is offered; a provider that fails validation is treated as
+absent.  When it does not load, callers fall back to the NumPy tier —
+``resolve_kernels("native")`` warns once instead of raising, so
+``backend="native"`` degrades gracefully on machines without a C
+compiler.
 
 Environment knobs:
 
 * ``REPRO_NO_NATIVE=1`` — force the NumPy fallback deterministically
   (CI fallback legs, bug reports).
-* ``REPRO_NATIVE=numba|cc`` — pin a specific provider.
-* ``REPRO_NATIVE_CACHE=<dir>`` — where the cc provider caches builds.
+* ``REPRO_NATIVE_CACHE=<dir>`` — where the compiled library is cached.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from typing import Callable
 
 import numpy as np
-
-from repro._compat import warn_once
 
 __all__ = [
     "KernelSet",
@@ -65,7 +57,7 @@ __all__ = [
 MODE_DL = 0
 MODE_PDL = 1
 
-_PROVIDERS = ("numba", "cc")
+_PROVIDER = "cc"
 
 _FILTER_CODES = {"length": 0, "fbf": 1}
 
@@ -91,8 +83,8 @@ def _idx(arr: np.ndarray) -> np.ndarray:
 class KernelSet:
     """The compiled kernels of one provider, at NumPy call level.
 
-    Instances are cheap handles; the heavy state (jitted functions or
-    the loaded shared library) lives in the provider module.  Methods
+    Instances are cheap handles; the heavy state (the loaded shared
+    library) lives in the provider module.  Methods
     coerce inputs to the layouts the kernels require and return plain
     NumPy arrays, bit-identical to the NumPy-tier equivalents.
     """
@@ -212,63 +204,66 @@ class KernelSet:
 # Provider resolution
 # ---------------------------------------------------------------------------
 
-#: provider name -> KernelSet (loaded + validated) or None (unavailable)
-_CACHE: dict[str, KernelSet | None] = {}
-#: provider name -> human-readable load outcome
-_REASONS: dict[str, str] = {}
+#: the cached probe: ``(kernels or None, human-readable outcome)``,
+#: empty until first probed
+_PROBE: list[tuple[KernelSet | None, str]] = []
+#: fallback warnings already emitted (keyed by kind and call site)
+_WARNED: set[str] = set()
+
+
+def _warn_once(key: str, message: str) -> None:
+    """Emit a ``RuntimeWarning`` at most once per process for ``key``.
+
+    Python's own per-call-site dedup is reset by
+    ``simplefilter("always")`` (and pytest), so a long job that asks
+    for compiled kernels millions of times keeps its own registry.
+    ``stacklevel=3`` points past this helper and
+    :func:`resolve_kernels` at the caller.
+    """
+    if key in _WARNED:
+        return
+    _WARNED.add(key)
+    warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
 def _disabled() -> bool:
     return os.environ.get("REPRO_NO_NATIVE", "").strip() not in ("", "0")
 
 
-def _provider_order() -> tuple[str, ...]:
-    forced = os.environ.get("REPRO_NATIVE", "").strip().lower()
-    if forced in _PROVIDERS:
-        return (forced,)
-    return _PROVIDERS
+def _reason() -> str:
+    return _PROBE[0][1] if _PROBE else "not probed"
 
 
-def _load_provider(name: str) -> KernelSet | None:
-    if name in _CACHE:
-        return _CACHE[name]
+def _load_provider() -> KernelSet | None:
+    if _PROBE:
+        return _PROBE[0][0]
     ks: KernelSet | None = None
     try:
-        if name == "numba":
-            from repro.native import _nb
+        from repro.native import _cc
 
-            ks = KernelSet("numba", _nb.load())
-        else:
-            from repro.native import _cc
-
-            ks = KernelSet("cc", _cc.load())
+        ks = KernelSet(_PROVIDER, _cc.load())
     except Exception as exc:
-        _REASONS[name] = f"unavailable ({exc})"
-        ks = None
+        reason = f"unavailable ({exc})"
     if ks is not None:
         err = _self_check(ks)
         if err is None:
-            _REASONS[name] = "loaded"
+            reason = "loaded"
         else:
-            _REASONS[name] = f"rejected by self-check ({err})"
+            reason = f"rejected by self-check ({err})"
             ks = None
-    _CACHE[name] = ks
+    _PROBE.append((ks, reason))
     return ks
 
 
 def load_kernels() -> KernelSet | None:
-    """The best available validated provider, or ``None``.
+    """The validated compiled provider, or ``None``.
 
-    Honors ``REPRO_NO_NATIVE`` and ``REPRO_NATIVE``; never raises and
-    never warns — this is the quiet probe used by auto-selection.
+    Honors ``REPRO_NO_NATIVE``; never raises and never warns — this is
+    the quiet probe used by auto-selection.
     """
     if _disabled():
         return None
-    for name in _provider_order():
-        ks = _load_provider(name)
-        if ks is not None:
-            return ks
-    return None
+    return _load_provider()
 
 
 def resolve_kernels(
@@ -282,50 +277,41 @@ def resolve_kernels(
     * ``"auto"`` — compiled kernels if available, silently otherwise.
     * ``"native"`` — compiled kernels expected: when unavailable (or
       disabled via ``REPRO_NO_NATIVE``), warn once and fall back.
-    * ``"numba"``/``"cc"`` — pin one provider, same warn-once fallback.
     """
     if request is None or request == "numpy":
         return None
-    if request not in ("auto", "native", *_PROVIDERS):
+    if request not in ("auto", "native"):
         raise ValueError(
             f"unknown kernels request {request!r}; expected 'numpy', "
-            f"'auto', 'native', 'numba' or 'cc'"
+            f"'auto' or 'native'"
         )
     if _disabled():
         if request != "auto":
-            warn_once(
+            _warn_once(
                 f"native-disabled:{warn_key}",
                 "compiled kernels disabled by REPRO_NO_NATIVE=1; "
                 "falling back to the NumPy (vectorized) path",
-                category=RuntimeWarning,
             )
         return None
-    if request in _PROVIDERS:
-        ks = _load_provider(request)
-    else:
-        ks = load_kernels()
+    ks = load_kernels()
     if ks is None and request != "auto":
-        detail = "; ".join(
-            f"{name}: {_REASONS.get(name, 'not probed')}"
-            for name in _provider_order()
-        )
-        warn_once(
+        _warn_once(
             f"native-unavailable:{warn_key}",
-            "compiled kernels requested but no provider loaded "
-            f"({detail}); falling back to the NumPy (vectorized) path "
-            "— install the extra with `pip install repro[native]`",
-            category=RuntimeWarning,
+            f"compiled kernels requested but the {_PROVIDER} provider did "
+            f"not load ({_reason()}); falling back to the NumPy "
+            "(vectorized) path — the compiled tier needs a C compiler "
+            "on PATH (or named by $CC)",
         )
     return ks
 
 
 def available() -> bool:
-    """True when a validated compiled provider can serve requests."""
+    """True when the validated compiled provider can serve requests."""
     return load_kernels() is not None
 
 
 def kind() -> str | None:
-    """Name of the active provider (``"numba"``/``"cc"``) or ``None``."""
+    """Name of the active provider (``"cc"``) or ``None``."""
     ks = load_kernels()
     return ks.kind if ks is not None else None
 
@@ -341,43 +327,32 @@ def require_native() -> KernelSet:
         return ks
     if _disabled():
         raise RuntimeError("compiled kernels disabled by REPRO_NO_NATIVE=1")
-    for name in _provider_order():
-        _load_provider(name)
-    detail = "; ".join(
-        f"{name}: {_REASONS.get(name, 'not probed')}"
-        for name in _provider_order()
+    raise RuntimeError(
+        f"no compiled kernel provider available ({_PROVIDER}: {_reason()})"
     )
-    raise RuntimeError(f"no compiled kernel provider available ({detail})")
 
 
 def native_status() -> dict:
     """Availability report for diagnostics and ``repro-fbf --plan``."""
     disabled = _disabled()
-    if not disabled:
-        for name in _provider_order():
-            _load_provider(name)
     active = None if disabled else kind()
     return {
         "available": active is not None,
         "kind": active,
         "disabled": disabled,
-        "providers": {
-            name: _REASONS.get(
-                name, "disabled" if disabled else "not probed"
-            )
-            for name in _PROVIDERS
-        },
+        "providers": {_PROVIDER: "disabled" if disabled else _reason()},
     }
 
 
 def reset() -> None:
-    """Forget cached provider probes (test-isolation hook).
+    """Forget the cached provider probe and the fallback warnings already
+    emitted (test-isolation hook).
 
-    Needed after monkeypatching ``REPRO_NO_NATIVE``/``REPRO_NATIVE``:
-    resolution caches per provider, not per environment.
+    Needed after monkeypatching ``REPRO_NO_NATIVE``: the probe result is
+    cached, not re-read from the environment.
     """
-    _CACHE.clear()
-    _REASONS.clear()
+    _PROBE.clear()
+    _WARNED.clear()
 
 
 # ---------------------------------------------------------------------------

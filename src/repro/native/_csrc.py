@@ -1,9 +1,8 @@
 """C source and build driver for the compiled kernel provider.
 
-The native tier prefers numba when it is importable, but a C toolchain is
-far more common than numba in production containers, so the same three
-kernels also ship as a single C translation unit compiled on first use
-with whatever ``cc`` the host provides and loaded through :mod:`ctypes`.
+The native tier's three kernels ship as a single C translation unit
+compiled on first use with whatever ``cc`` the host provides and loaded
+through :mod:`ctypes`.
 The build is content-addressed: the shared object lands in a per-user
 cache directory keyed by the SHA-256 of the source, so recompiles happen
 only when the kernels change and concurrent processes (hybrid pool

@@ -11,26 +11,20 @@ call per pair:
   (:class:`VectorEngine`): every method stack of the evaluation
   implemented over NumPy pair chunks (:mod:`repro.distance.vectorized`
   + :mod:`repro.core.vectorized`).  One process, no per-pair Python;
-  the plan layer's ``vectorized`` backend.
-* :mod:`repro.parallel.pool` — a multiprocessing driver
-  (:func:`multiprocess_join`) that partitions the pair space across
-  worker processes, for the scalar matchers (reference engine at
-  scale) and as the distributed-RL skeleton the paper's conclusion
-  sketches; the plan layer's ``multiprocess`` backend.
+  the plan layer's ``vectorized`` backend, and its ``native`` backend
+  when armed with the compiled kernels of :mod:`repro.native`.
 * :mod:`repro.parallel.shm` — the zero-copy hybrid: encodings are
   published once through ``multiprocessing.shared_memory`` and a
   persistent :class:`WorkerPool` (reused across joins and serve
   batches) runs the vectorized chunk kernels inside each worker; the
-  plan layer's ``hybrid`` backend.
+  plan layer's ``hybrid`` backend and the only multi-process path.
 
-All are composed with candidate generators by
-:class:`repro.core.plan.JoinPlanner`; ``ChunkedJoin`` and
-``parallel_match_strings`` remain as deprecated aliases.
+The two engines are composed with candidate generators by
+:class:`repro.core.plan.JoinPlanner`.
 """
 
-from repro.parallel.chunked import ChunkedJoin, VectorEngine, VJoinResult
+from repro.parallel.chunked import VectorEngine, VJoinResult
 from repro.parallel.partition import balanced_splits, iter_pair_blocks, row_blocks
-from repro.parallel.pool import multiprocess_join, parallel_match_strings
 from repro.parallel.shm import (
     SharedDatasets,
     SharedSide,
@@ -45,7 +39,6 @@ from repro.parallel.shm import (
 )
 
 __all__ = [
-    "ChunkedJoin",
     "SharedDatasets",
     "SharedSide",
     "SideArrays",
@@ -57,9 +50,7 @@ __all__ = [
     "hybrid_join",
     "inline_side",
     "iter_pair_blocks",
-    "multiprocess_join",
     "pack_signatures",
-    "parallel_match_strings",
     "row_blocks",
     "run_hybrid",
     "shared_pool",

@@ -12,7 +12,6 @@ execution backend* of :mod:`repro.core.plan`: :meth:`VectorEngine.run`
 covers full-product plans and :meth:`VectorEngine.run_candidates`
 verifies an explicit candidate stream from any candidate generator
 (length buckets, the FBF signature index, key blocking).
-:class:`ChunkedJoin` remains as a deprecated alias.
 
 Timing fidelity note (DESIGN.md): *all* methods run in the same
 vectorized paradigm here, so relative timings — the paper's speedup
@@ -20,7 +19,7 @@ columns — compare like with like, exactly as the paper's all-C
 implementations did.
 
 Observability: pass a :class:`repro.obs.StatsCollector` (constructor or
-per-:meth:`ChunkedJoin.run` call) and the engine reports the same
+per-:meth:`VectorEngine.run` call) and the engine reports the same
 funnel the scalar driver does — stage sweeps record their tested/passed
 totals, verification merges per-chunk aggregates into the one
 collector, and signature generation / filtering / verification each get
@@ -35,7 +34,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro._compat import warn_once
 from repro.core.join import JoinResult
 from repro.core.matchers import method_registry
 from repro.core.popcount import popcount_batch_u32
@@ -59,7 +57,7 @@ from repro.obs.log import get_logger
 from repro.obs.stats import NULL_COLLECTOR
 from repro.parallel.partition import iter_pair_blocks
 
-__all__ = ["VectorEngine", "ChunkedJoin", "VJoinResult"]
+__all__ = ["VectorEngine", "VJoinResult"]
 
 _log = get_logger("parallel.chunked")
 
@@ -714,20 +712,3 @@ class VectorEngine:
             "LFPDL", self._length_then_fbf_pairs(), self._verify_pdl
         )
 
-
-class ChunkedJoin(VectorEngine):
-    """Deprecated alias for :class:`VectorEngine`.
-
-    Kept so pre-planner code importing ``ChunkedJoin`` keeps working;
-    new code should go through :func:`repro.join` or
-    :class:`repro.core.plan.JoinPlanner` with ``backend="vectorized"``.
-    """
-
-    def __init__(self, *args, **kwargs):
-        warn_once(
-            "parallel.chunked.ChunkedJoin",
-            "ChunkedJoin is deprecated; use repro.join(left, right, method, "
-            "backend='vectorized') or repro.core.plan.JoinPlanner (the class "
-            "itself now lives on as repro.parallel.chunked.VectorEngine)",
-        )
-        super().__init__(*args, **kwargs)

@@ -951,10 +951,9 @@ def _default_context():
 class WorkerPool:
     """A persistent multiprocessing pool with one shared task queue.
 
-    Unlike ``ProcessPoolExecutor`` as the legacy driver used it, the
-    pool is *reused*: workers are spawned lazily on the first
-    :meth:`run_tasks` and then serve every subsequent join or serve
-    batch, so repeated runs pay neither process startup nor dataset
+    Unlike a throwaway ``ProcessPoolExecutor``, the pool is *reused*:
+    workers are spawned lazily on the first :meth:`run_tasks` and then
+    serve every subsequent join or serve batch, so repeated runs pay neither process startup nor dataset
     reseeding.  Tasks are pre-pickled in the parent (which is also what
     makes the ``bytes_pickled`` accounting exact), results are deduped
     by task id, and workers that die mid-run are respawned with their
@@ -1462,8 +1461,9 @@ def run_hybrid(
     :class:`SharedDatasets`/:class:`SharedSide`) credits its published
     bytes to the collector exactly once over its lifetime — which is the
     "datasets cross the boundary at most once" evidence.  ``weighter``
-    requires an explicit candidate stream, as in
-    :func:`repro.parallel.pool.multiprocess_join`.  ``kernels`` picks
+    requires an explicit candidate stream (row-range tasks see
+    range-local left indices, which a symmetric weighter would
+    mis-double).  ``kernels`` picks
     the worker-side kernel tier: ``"auto"`` (default) uses compiled
     kernels when a provider loads, ``"numpy"`` pins pure NumPy, and
     ``"native"`` warns once per worker if no provider is available.

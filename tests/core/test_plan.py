@@ -1,6 +1,6 @@
-"""The join planner: cost model, overrides, funnel accounting, shims.
+"""The join planner: cost model, overrides, funnel accounting.
 
-The planner's contract has four parts, each covered here:
+The planner's contract has three parts, each covered here:
 
 * **Cost model** — generator/backend picks follow dataset size, ``k``
   and the method's safety profile, and never auto-pick a lossy or
@@ -11,8 +11,6 @@ The planner's contract has four parts, each covered here:
   invariant, with non-full-product generators appearing as the first
   funnel stage; the Table-3 last-names workload demonstrates the
   index-backed plan touching well under 20% of the product at ``k=1``.
-* **Compatibility** — the three pre-planner entry points still work but
-  warn ``DeprecationWarning``.
 """
 
 import pytest
@@ -103,11 +101,6 @@ class TestCostModel:
         p = JoinPlanner(strings, list(strings), k=1)
         assert p.plan("LF").generator.name == "length-bucket"
 
-    def test_multiprocess_never_auto_picked(self):
-        for n in (100, 1100):
-            p = JoinPlanner(_fake_strings(n), _fake_strings(n), k=1)
-            assert p.plan("FPDL").backend.name != "multiprocess"
-
     def test_blocking_never_auto_picked(self):
         for method in REGISTRY:
             p = JoinPlanner(_fake_strings(1100), _fake_strings(1100), k=1)
@@ -124,6 +117,15 @@ class TestGeneratorRegistry:
         assert GENERATOR_NAMES == tuple(GENERATOR_FACTORIES)
         assert set(GENERATOR_SUMMARIES) == set(GENERATOR_NAMES)
         assert all(GENERATOR_SUMMARIES.values())
+
+    def test_names_stay_exported(self):
+        assert set(GENERATOR_NAMES) == {
+            "all-pairs", "length-bucket", "fbf-index", "pass-join",
+            "prefix", "blocking",
+        }
+        assert set(BACKEND_NAMES) == {
+            "scalar", "vectorized", "hybrid", "native",
+        }
 
     def test_planner_instantiates_lazily_and_caches(self):
         p = JoinPlanner(_fake_strings(10), _fake_strings(10), k=1)
@@ -248,6 +250,13 @@ class TestOverrides:
         with pytest.raises(ValueError, match="unknown backend"):
             p.plan("FPDL", backend="bogus")
 
+    def test_removed_multiprocess_backend_raises(self, ssn_pair):
+        with pytest.raises(ValueError, match="unknown backend"):
+            repro.join(
+                ssn_pair.clean, ssn_pair.error, "FPDL", k=1,
+                backend="multiprocess",
+            )
+
     def test_unknown_method_raises(self, ssn_pair):
         p = JoinPlanner(ssn_pair.clean, ssn_pair.error, k=1)
         with pytest.raises(ValueError, match="unknown method"):
@@ -304,16 +313,17 @@ class TestRun:
         assert sorted(r.matches) == sorted(ref.matches)
 
     def test_join_multiprocess_combo(self, ssn_pair):
+        # the multi-process plan: hybrid over a two-worker pool
         ref = join(
             ssn_pair.clean, ssn_pair.error, "FPDL", k=1,
             generator="all-pairs", backend="scalar", record_matches=True,
         )
         r = join(
             ssn_pair.clean, ssn_pair.error, "FPDL", k=1,
-            generator="fbf-index", backend="multiprocess",
+            generator="fbf-index", backend="hybrid",
             workers=2, record_matches=True,
         )
-        assert (r.generator, r.backend) == ("fbf-index", "multiprocess")
+        assert (r.generator, r.backend) == ("fbf-index", "hybrid")
         assert sorted(r.matches) == sorted(ref.matches)
 
     def test_join_is_packaged_at_top_level(self, ssn_pair):
@@ -397,98 +407,3 @@ class TestFunnel:
         ref = p.run("FPDL", generator="all-pairs", backend="vectorized")
         assert sorted(r.matches) == sorted(ref.matches)
 
-
-class TestDeprecatedShims:
-    """Each shim warns DeprecationWarning exactly once per process."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_warning_registry(self):
-        # The shims warn once per process; reset so each test observes
-        # its own first (and only) warning regardless of suite order.
-        from repro._compat import reset_deprecation_warnings
-
-        reset_deprecation_warnings()
-        yield
-        reset_deprecation_warnings()
-
-    def test_match_strings_warns(self, ssn_pair):
-        from repro.core.join import match_strings
-        from repro.core.matchers import build_matcher
-
-        matcher = build_matcher("FPDL", k=1, scheme="numeric")
-        with pytest.warns(DeprecationWarning, match="repro.join") as caught:
-            r = match_strings(ssn_pair.clean, ssn_pair.error, matcher)
-        assert r.match_count > 0
-        assert (
-            sum(1 for w in caught if w.category is DeprecationWarning) == 1
-        )
-        assert "match_strings() is deprecated" in str(caught[0].message)
-
-    def test_match_strings_warns_only_once(self, ssn_pair):
-        import warnings
-
-        from repro.core.join import match_strings
-        from repro.core.matchers import build_matcher
-
-        matcher = build_matcher("FPDL", k=1, scheme="numeric")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            match_strings(ssn_pair.clean, ssn_pair.error, matcher)
-            match_strings(ssn_pair.clean, ssn_pair.error, matcher)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
-    def test_parallel_match_strings_warns(self, ssn_pair):
-        from repro.parallel.pool import parallel_match_strings
-
-        with pytest.warns(DeprecationWarning, match="repro.join") as caught:
-            r = parallel_match_strings(
-                ssn_pair.clean, ssn_pair.error, "FPDL", k=1,
-                scheme_kind="numeric", workers=1,
-            )
-        assert r.backend == "multiprocess"
-        assert (
-            sum(1 for w in caught if w.category is DeprecationWarning) == 1
-        )
-        assert "parallel_match_strings() is deprecated" in str(
-            caught[0].message
-        )
-
-    def test_chunked_join_warns(self, ssn_pair):
-        from repro.parallel.chunked import ChunkedJoin, VectorEngine
-
-        with pytest.warns(DeprecationWarning, match="VectorEngine") as caught:
-            engine = ChunkedJoin(
-                ssn_pair.clean, ssn_pair.error, k=1, scheme_kind="numeric"
-            )
-        assert isinstance(engine, VectorEngine)
-        assert engine.run("FPDL").match_count > 0
-        assert (
-            sum(1 for w in caught if w.category is DeprecationWarning) == 1
-        )
-        assert "ChunkedJoin is deprecated" in str(caught[0].message)
-
-    def test_chunked_join_warns_only_once(self, ssn_pair):
-        import warnings
-
-        from repro.parallel.chunked import ChunkedJoin
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ChunkedJoin(ssn_pair.clean, ssn_pair.error, k=1, scheme_kind="numeric")
-            ChunkedJoin(ssn_pair.clean, ssn_pair.error, k=1, scheme_kind="numeric")
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
-    def test_names_stay_exported(self):
-        assert set(GENERATOR_NAMES) == {
-            "all-pairs", "length-bucket", "fbf-index", "pass-join",
-            "prefix", "blocking",
-        }
-        assert set(BACKEND_NAMES) == {
-            "scalar", "vectorized", "multiprocess", "hybrid", "native",
-        }

@@ -179,8 +179,10 @@ def test_partition_generators_compose_with_self_join(generator, data):
 
 
 class TestMultiprocessEquivalence:
-    """Fixed-input equivalence for the pool backend (too slow for the
-    hypothesis loop: each example would fork a pool)."""
+    """Fixed-input equivalence for the multi-process plans: the hybrid
+    backend over a two-worker pool, on inputs the hypothesis sweep of
+    ``tests/parallel/test_shm_equivalence.py`` does not draw (SSN
+    families, heavy duplication with collapse forced on)."""
 
     @pytest.fixture(scope="class")
     def ssn_pair(self):
@@ -194,7 +196,7 @@ class TestMultiprocessEquivalence:
         par = JoinPlanner(
             ssn_pair.clean, ssn_pair.error, k=1,
             workers=2, record_matches=True,
-        ).run(method, generator="all-pairs", backend="multiprocess")
+        ).run(method, generator="all-pairs", backend="hybrid")
         assert sorted(par.matches) == sorted(ref.matches)
         assert par.verified_pairs == ref.verified_pairs
 
@@ -205,12 +207,12 @@ class TestMultiprocessEquivalence:
         par = JoinPlanner(
             ssn_pair.clean, ssn_pair.error, k=1,
             workers=2, record_matches=True,
-        ).run("FPDL", generator="fbf-index", backend="multiprocess")
+        ).run("FPDL", generator="fbf-index", backend="hybrid")
         assert sorted(par.matches) == sorted(ref.matches)
 
     def test_collapsed_pool_matches_reference(self):
-        # Heavy duplication so collapse engages; the pool backend must
-        # ship weights to workers and come back bit-identical.
+        # Heavy duplication so collapse engages; the hybrid backend
+        # must ship weights to workers and come back bit-identical.
         names = ["SMITH", "SMYTH", "JONES", "JONAS", "LEE"]
         left = [names[i % len(names)] for i in range(30)]
         right = [names[(i * 2) % len(names)] for i in range(24)]
@@ -220,7 +222,7 @@ class TestMultiprocessEquivalence:
         ).run("FPDL", generator="all-pairs", backend="scalar")
         par = JoinPlanner(
             left, right, k=1, workers=2, record_matches=True, collapse="on",
-        ).run("FPDL", backend="multiprocess")
+        ).run("FPDL", backend="hybrid")
         assert sorted(par.matches) == sorted(ref.matches)
         assert par.match_count == ref.match_count
         assert par.diagonal_matches == ref.diagonal_matches
@@ -234,7 +236,7 @@ class TestMultiprocessEquivalence:
         ).run("FPDL", generator="all-pairs", backend="scalar")
         par = JoinPlanner(
             data, data, k=1, workers=2, record_matches=True,
-        ).run("FPDL", backend="multiprocess")
+        ).run("FPDL", backend="hybrid")
         assert sorted(par.matches) == sorted(ref.matches)
         assert par.match_count == ref.match_count
         assert par.diagonal_matches == ref.diagonal_matches

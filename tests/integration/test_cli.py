@@ -127,6 +127,22 @@ class TestJoinStreamCommand:
         assert not ck.exists()
         assert spill.stat().st_size > 0
 
+    def test_native_backend_spills_like_vectorized(
+        self, stream_files, tmp_path
+    ):
+        big, roster = stream_files
+        spills = {}
+        for backend in ("native", "vectorized"):
+            spills[backend] = tmp_path / f"{backend}.jsonl"
+            assert main(
+                ["join-stream", str(big), str(roster), "--k", "1",
+                 "--chunk-rows", "40", "--backend", backend,
+                 "--spill", str(spills[backend]), "--quiet"]
+            ) == 0
+        native_rows = spills["native"].read_text()
+        assert native_rows
+        assert native_rows == spills["vectorized"].read_text()
+
     def test_memory_budget_flag(self, stream_files, capsys):
         big, roster = stream_files
         assert main(

@@ -1,8 +1,7 @@
 """Cross-engine fuzzing: one semantics, four implementations.
 
 Hypothesis drives random datasets, thresholds and method stacks through
-the scalar join, the vectorized join, the multiprocessing driver and the
-FBF index; any divergence between them is a bug in exactly one place.
+the scalar join, the vectorized join and the FBF index; any divergence between them is a bug in exactly one place.
 """
 
 import random
@@ -10,11 +9,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.index import FBFIndex
-from repro.core.join import match_strings
-from repro.core.matchers import build_matcher
 from repro.distance.damerau import damerau_levenshtein
-from repro.parallel.chunked import ChunkedJoin
+from repro.parallel.chunked import VectorEngine
 
 datasets = st.lists(
     st.text(alphabet="AB1 -", min_size=1, max_size=9), min_size=1, max_size=8
@@ -30,10 +28,11 @@ class TestScalarVsVectorized:
     @given(datasets, datasets, methods, st.integers(0, 3),
            st.sampled_from([0.7, 0.8, 0.9]))
     def test_counts_agree(self, left, right, method, k, theta):
-        scalar = match_strings(
-            left, right, build_matcher(method, k=k, theta=theta, scheme="alnum")
+        scalar = repro.join(
+            left, right, method, k=k, theta=theta, scheme="alnum",
+            generator="all-pairs", backend="scalar",
         )
-        vector = ChunkedJoin(
+        vector = VectorEngine(
             left, right, k=k, theta=theta, scheme_kind="alnum", chunk=16
         ).run(method)
         assert (scalar.match_count, scalar.diagonal_matches) == (
@@ -44,13 +43,11 @@ class TestScalarVsVectorized:
     @settings(max_examples=30)
     @given(datasets, datasets, st.integers(1, 2))
     def test_match_sets_agree(self, left, right, k):
-        scalar = match_strings(
-            left,
-            right,
-            build_matcher("LFPDL", k=k, scheme="alnum"),
-            record_matches=True,
+        scalar = repro.join(
+            left, right, "LFPDL", k=k, scheme="alnum",
+            generator="all-pairs", backend="scalar", record_matches=True,
         )
-        vector = ChunkedJoin(
+        vector = VectorEngine(
             left, right, k=k, scheme_kind="alnum", chunk=8, record_matches=True
         ).run("LFPDL")
         assert sorted(scalar.matches) == sorted(vector.matches)
@@ -76,7 +73,7 @@ class TestSafetyNeverViolated:
     @settings(max_examples=40)
     @given(datasets, st.integers(0, 3))
     def test_every_filter_stack_superset_of_dl(self, strings, k):
-        join = ChunkedJoin(
+        join = VectorEngine(
             strings, strings, k=k, scheme_kind="alnum",
             chunk=8, record_matches=True,
         )

@@ -6,7 +6,7 @@ Two test populations:
 * ``needs_native`` tests pin the loaded provider's kernels bit-for-bit
   against the scalar/NumPy references — including the 63/64/65
   bit-parallel/banded boundary and empty strings.  They skip when no
-  provider loads (no numba, no C compiler).
+  provider loads (no C compiler).
 * The fallback tests run everywhere: requesting ``backend="native"``
   without a provider must warn once and produce the vectorized tier's
   exact results.
@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro import native
-from repro._compat import reset_deprecation_warnings
 from repro.core.plan import BACKEND_NAMES, JoinPlanner
 from repro.core.popcount import popcount_batch_u32, popcount_batch_u64
 from repro.core.vectorized import fbf_candidates as np_fbf_candidates
@@ -36,12 +35,11 @@ needs_native = pytest.mark.skipif(
 
 @pytest.fixture
 def fresh_native():
-    """Re-probe providers after env monkeypatching, restore after."""
+    """Re-probe the provider (and re-arm its warn-once fallback
+    warnings) after env monkeypatching, restore after."""
     native.reset()
-    reset_deprecation_warnings()
     yield
     native.reset()
-    reset_deprecation_warnings()
 
 
 def _strings_with_boundaries(seed: int = 3) -> list[str]:
@@ -405,22 +403,20 @@ class TestResolution:
         with pytest.raises(RuntimeError, match="REPRO_NO_NATIVE"):
             native.require_native()
 
-    def test_unknown_provider_pin_ignored(self, fresh_native, monkeypatch):
-        # the quiet probe never raises: a typo'd pin falls back to the
-        # normal provider order rather than crashing imports
-        monkeypatch.setenv("REPRO_NATIVE", "fortran")
-        native.reset()
-        ks = native.load_kernels()
-        assert ks is None or ks.kind in ("numba", "cc")
-
     def test_unknown_request_string_rejected(self):
         with pytest.raises(ValueError, match="unknown kernels request"):
             native.resolve_kernels("fortran")
 
+    @pytest.mark.parametrize("request_", ["numba", "cc"])
+    def test_provider_requests_rejected(self, request_):
+        # the kernel request names a tier, never a provider
+        with pytest.raises(ValueError, match="unknown kernels request"):
+            native.resolve_kernels(request_)
+
     def test_status_shape(self):
         status = native.native_status()
         assert set(status) == {"available", "kind", "disabled", "providers"}
-        assert set(status["providers"]) == {"numba", "cc"}
+        assert set(status["providers"]) == {"cc"}
 
     def test_native_listed_as_backend(self):
         assert "native" in BACKEND_NAMES
@@ -428,14 +424,5 @@ class TestResolution:
     @needs_native
     def test_require_native_returns_kernelset(self):
         ks = native.require_native()
-        assert ks.kind in ("numba", "cc")
+        assert ks.kind == "cc"
         assert native.kind() == ks.kind
-
-    @needs_native
-    def test_provider_pin_honored(self, fresh_native, monkeypatch):
-        # pin to whichever provider is actually active; the pin path
-        # must resolve to exactly that provider
-        active = native.kind()
-        monkeypatch.setenv("REPRO_NATIVE", active)
-        native.reset()
-        assert native.kind() == active

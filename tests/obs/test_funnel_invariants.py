@@ -3,8 +3,9 @@
 Three families of guarantees tie the observability layer to the paper:
 
 * **Conservation** — every pair the join considered is accounted for:
-  ``pairs_considered == sum(stage.rejected) + survivors`` on both the
-  scalar and the vectorized engines, for every method stack.
+  ``pairs_considered == sum(stage.rejected) + survivors`` on the
+  scalar and the vectorized backends for every method stack, and on
+  the hybrid backend's merged per-worker funnel.
 * **FBF safety, restated on counters** — the FBF filter rejects pairs
   but never true matches, so a filtered stack's ``matched`` equals the
   unfiltered baseline's while its ``fbf`` stage shows real rejections.
@@ -14,11 +15,10 @@ Three families of guarantees tie the observability layer to the paper:
 
 import pytest
 
-from repro.core.join import match_strings
-from repro.core.matchers import METHOD_NAMES, build_matcher, method_registry
+import repro
+from repro.core.matchers import METHOD_NAMES, method_registry
 from repro.data.datasets import dataset_for_family
 from repro.obs import StatsCollector
-from repro.parallel.chunked import ChunkedJoin
 
 K = 1
 REGISTRY = method_registry()
@@ -29,17 +29,19 @@ def ssn_pair():
     return dataset_for_family("SSN", 48, seed=11)
 
 
-@pytest.fixture(scope="module")
-def chunked(ssn_pair):
-    return ChunkedJoin(ssn_pair.clean, ssn_pair.error, k=K, scheme_kind="numeric")
+def _join(pair, method, backend, **kwargs):
+    """The all-pairs join of ``pair`` (clean x error) on ``backend``."""
+    return repro.join(
+        pair.clean, pair.error, method, k=K, scheme="numeric",
+        generator="all-pairs", backend=backend, **kwargs,
+    )
 
 
 class TestConservationScalar:
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_counters_conserve(self, ssn_pair, method):
         c = StatsCollector(method)
-        matcher = build_matcher(method, k=K, scheme="numeric", collector=c)
-        result = match_strings(ssn_pair.clean, ssn_pair.error, matcher)
+        result = _join(ssn_pair, method, "scalar", collector=c)
         n_pairs = ssn_pair.n * ssn_pair.n
         assert c.pairs_considered == n_pairs == result.pairs_compared
         assert c.conserved, (
@@ -51,8 +53,7 @@ class TestConservationScalar:
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_verified_matches_stack_shape(self, ssn_pair, method):
         c = StatsCollector(method)
-        matcher = build_matcher(method, k=K, scheme="numeric", collector=c)
-        match_strings(ssn_pair.clean, ssn_pair.error, matcher)
+        _join(ssn_pair, method, "scalar", collector=c)
         if REGISTRY[method].verifier is None:
             # Filter-only stacks (FBF/LF/LFBF): nothing reaches a verifier
             # and every survivor is declared a match.
@@ -63,8 +64,7 @@ class TestConservationScalar:
 
     def test_stage_flow_is_monotone(self, ssn_pair):
         c = StatsCollector("LFPDL")
-        matcher = build_matcher("LFPDL", k=K, scheme="numeric", collector=c)
-        match_strings(ssn_pair.clean, ssn_pair.error, matcher)
+        _join(ssn_pair, "LFPDL", "scalar", collector=c)
         stages = list(c.stages.values())
         assert [s.name for s in stages] == ["length", "fbf"]
         # Each stage tests exactly what the previous one passed.
@@ -75,20 +75,19 @@ class TestConservationScalar:
 
 class TestConservationVectorized:
     @pytest.mark.parametrize("method", METHOD_NAMES)
-    def test_counters_conserve(self, ssn_pair, chunked, method):
+    def test_counters_conserve(self, ssn_pair, method):
         c = StatsCollector(method)
-        result = chunked.run(method, collector=c)
+        result = _join(ssn_pair, method, "vectorized", collector=c)
         assert c.pairs_considered == ssn_pair.n * ssn_pair.n
         assert c.conserved
         assert c.matched == result.match_count
 
-    def test_agrees_with_scalar_funnel(self, ssn_pair, chunked):
+    def test_agrees_with_scalar_funnel(self, ssn_pair):
         """Both engines walk the same funnel, so the counters coincide."""
         cv = StatsCollector()
-        chunked.run("FPDL", collector=cv)
+        _join(ssn_pair, "FPDL", "vectorized", collector=cv)
         cs = StatsCollector()
-        matcher = build_matcher("FPDL", k=K, scheme="numeric", collector=cs)
-        match_strings(ssn_pair.clean, ssn_pair.error, matcher)
+        _join(ssn_pair, "FPDL", "scalar", collector=cs)
         assert cv.pairs_considered == cs.pairs_considered
         assert cv.survivors == cs.survivors
         assert cv.verified == cs.verified
@@ -101,10 +100,10 @@ class TestFBFSafetyAsCounters:
     """The zero-false-negative guarantee, restated as a counter identity."""
 
     @pytest.mark.parametrize("filtered", ["FDL", "FPDL"])
-    def test_filtered_stack_loses_no_matches(self, ssn_pair, chunked, filtered):
-        baseline = chunked.run("DL")
+    def test_filtered_stack_loses_no_matches(self, ssn_pair, filtered):
+        baseline = _join(ssn_pair, "DL", "vectorized")
         c = StatsCollector(filtered)
-        result = chunked.run(filtered, collector=c)
+        result = _join(ssn_pair, filtered, "vectorized", collector=c)
         assert result.match_count == baseline.match_count
         assert c.matched == baseline.match_count
         # The filter did real work — it rejected pairs — yet no match
@@ -118,19 +117,10 @@ class TestNoOpParity:
 
     @pytest.mark.parametrize("method", ["DL", "FPDL", "LFBF", "Jaro"])
     def test_scalar_results_identical(self, ssn_pair, method):
-        plain = match_strings(
-            ssn_pair.clean,
-            ssn_pair.error,
-            build_matcher(method, k=K, scheme="numeric"),
-            record_matches=True,
-        )
-        observed = match_strings(
-            ssn_pair.clean,
-            ssn_pair.error,
-            build_matcher(
-                method, k=K, scheme="numeric", collector=StatsCollector()
-            ),
-            record_matches=True,
+        plain = _join(ssn_pair, method, "scalar", record_matches=True)
+        observed = _join(
+            ssn_pair, method, "scalar", record_matches=True,
+            collector=StatsCollector(),
         )
         assert plain.match_count == observed.match_count
         assert plain.diagonal_matches == observed.diagonal_matches
@@ -139,23 +129,11 @@ class TestNoOpParity:
 
     @pytest.mark.parametrize("method", ["DL", "FPDL", "LFBF"])
     def test_chunked_results_identical(self, ssn_pair, method):
-        plain_join = ChunkedJoin(
-            ssn_pair.clean,
-            ssn_pair.error,
-            k=K,
-            scheme_kind="numeric",
-            record_matches=True,
-        )
-        observed_join = ChunkedJoin(
-            ssn_pair.clean,
-            ssn_pair.error,
-            k=K,
-            scheme_kind="numeric",
-            record_matches=True,
+        plain = _join(ssn_pair, method, "vectorized", record_matches=True)
+        observed = _join(
+            ssn_pair, method, "vectorized", record_matches=True,
             collector=StatsCollector(),
         )
-        plain = plain_join.run(method)
-        observed = observed_join.run(method)
         assert plain.match_count == observed.match_count
         assert plain.diagonal_matches == observed.diagonal_matches
         assert sorted(plain.matches) == sorted(observed.matches)
@@ -164,48 +142,38 @@ class TestNoOpParity:
 class TestVerifierCounters:
     def test_pdl_tallies_wire_through_build_matcher(self, ssn_pair):
         c = StatsCollector()
-        matcher = build_matcher("PDL", k=K, scheme="numeric", collector=c)
-        match_strings(ssn_pair.clean, ssn_pair.error, matcher)
+        _join(ssn_pair, "PDL", "scalar", collector=c)
         # Equal-length SSNs: nothing length-prunes, but almost every
         # non-diagonal pair terminates its band early.
         assert c.verifier_counters["early_exit"] > 0
 
     def test_length_pruned_fires_on_mixed_lengths(self):
         c = StatsCollector()
-        matcher = build_matcher("PDL", k=1, collector=c)
-        match_strings(["ab", "abcdef"], ["ab", "abcdefgh"], matcher)
+        repro.join(
+            ["ab", "abcdef"], ["ab", "abcdefgh"], "PDL", k=1,
+            generator="all-pairs", backend="scalar", collector=c,
+        )
         assert c.verifier_counters["length_pruned"] > 0
 
 
 class TestConservationMultiprocess:
-    """The pool backend merges per-worker collectors into the parent;
+    """The hybrid backend merges per-worker collectors into the parent;
     the merged funnel must be indistinguishable from a one-process run."""
 
     def test_counters_conserve_across_workers(self, ssn_pair):
-        from repro.parallel.pool import multiprocess_join
-
         c = StatsCollector("pool")
-        result = multiprocess_join(
-            ssn_pair.clean, ssn_pair.error, "FPDL", k=K,
-            scheme_kind="numeric", workers=2, collector=c,
-        )
+        result = _join(ssn_pair, "FPDL", "hybrid", workers=2, collector=c)
         n_pairs = ssn_pair.n * ssn_pair.n
         assert c.pairs_considered == n_pairs == result.pairs_compared
         assert c.conserved
         assert c.matched == result.match_count
 
-    @pytest.mark.parametrize("method", ["DL", "FPDL", "LFBF"])
+    @pytest.mark.parametrize("method", ["DL", "FPDL", "LFBF", "PDL"])
     def test_merged_funnel_equals_scalar(self, ssn_pair, method):
-        from repro.parallel.pool import multiprocess_join
-
         cp = StatsCollector("pool")
-        multiprocess_join(
-            ssn_pair.clean, ssn_pair.error, method, k=K,
-            scheme_kind="numeric", workers=2, collector=cp,
-        )
+        _join(ssn_pair, method, "hybrid", workers=2, collector=cp)
         cs = StatsCollector("scalar")
-        matcher = build_matcher(method, k=K, scheme="numeric", collector=cs)
-        match_strings(ssn_pair.clean, ssn_pair.error, matcher)
+        _join(ssn_pair, method, "scalar", collector=cs)
         assert cp.pairs_considered == cs.pairs_considered
         assert cp.survivors == cs.survivors
         assert cp.verified == cs.verified
@@ -213,16 +181,3 @@ class TestConservationMultiprocess:
         for name, stage in cs.stages.items():
             merged = cp.stages[name]
             assert (merged.tested, merged.passed) == (stage.tested, stage.passed)
-
-    def test_verifier_counters_survive_merge(self, ssn_pair):
-        from repro.parallel.pool import multiprocess_join
-
-        cp = StatsCollector("pool")
-        multiprocess_join(
-            ssn_pair.clean, ssn_pair.error, "PDL", k=K,
-            scheme_kind="numeric", workers=2, collector=cp,
-        )
-        cs = StatsCollector("scalar")
-        matcher = build_matcher("PDL", k=K, scheme="numeric", collector=cs)
-        match_strings(ssn_pair.clean, ssn_pair.error, matcher)
-        assert cp.verifier_counters == cs.verifier_counters

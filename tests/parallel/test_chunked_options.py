@@ -1,11 +1,11 @@
-"""Option-surface tests for ChunkedJoin (variants, schemes, levels)."""
+"""Option-surface tests for the chunked VectorEngine (variants, schemes,
+levels)."""
 
 import pytest
 
-from repro.core.join import match_strings
-from repro.core.matchers import build_matcher
+import repro
 from repro.data.datasets import dataset_for_family
-from repro.parallel.chunked import ChunkedJoin, VectorEngine, _group_by_value
+from repro.parallel.chunked import VectorEngine, _group_by_value
 
 import numpy as np
 
@@ -17,19 +17,21 @@ def ad_pair():
 
 class TestSchemeOptions:
     def test_alnum_scheme_on_addresses(self, ad_pair):
-        join = ChunkedJoin(ad_pair.clean, ad_pair.error, k=1, scheme_kind="alnum")
+        join = VectorEngine(ad_pair.clean, ad_pair.error, k=1, scheme_kind="alnum")
         assert join.scheme.name == "alnum2"
         res = join.run("FPDL")
-        matcher = build_matcher("FPDL", k=1, scheme="alnum")
-        ref = match_strings(ad_pair.clean, ad_pair.error, matcher)
+        ref = repro.join(
+            ad_pair.clean, ad_pair.error, "FPDL", k=1, scheme="alnum",
+            generator="all-pairs", backend="scalar",
+        )
         assert (res.match_count, res.diagonal_matches) == (
             ref.match_count,
             ref.diagonal_matches,
         )
 
     def test_levels_parameter(self, ad_pair):
-        j1 = ChunkedJoin(ad_pair.clean, ad_pair.error, k=1, scheme_kind="alnum", levels=1)
-        j3 = ChunkedJoin(ad_pair.clean, ad_pair.error, k=1, scheme_kind="alnum", levels=3)
+        j1 = VectorEngine(ad_pair.clean, ad_pair.error, k=1, scheme_kind="alnum", levels=1)
+        j3 = VectorEngine(ad_pair.clean, ad_pair.error, k=1, scheme_kind="alnum", levels=3)
         assert j1.sigs_l.shape[1] == 2  # 1 alpha word + 1 numeric
         assert j3.sigs_l.shape[1] == 4
         # Deeper signatures pass fewer or equal candidates.
@@ -40,14 +42,14 @@ class TestSchemeOptions:
     def test_jaro_variant_standard(self):
         left = ["SMITH"]
         right = ["SMIHT"]
-        paper = ChunkedJoin(left, right, theta=0.95, variant="paper")
-        standard = ChunkedJoin(left, right, theta=0.95, variant="standard")
+        paper = VectorEngine(left, right, theta=0.95, variant="paper")
+        standard = VectorEngine(left, right, theta=0.95, variant="standard")
         # 0.967 (paper) passes theta=0.95; 0.933 (standard) does not.
         assert paper.run("Jaro").match_count == 1
         assert standard.run("Jaro").match_count == 0
 
     def test_sdx_codes_cached(self, ad_pair):
-        join = ChunkedJoin(ad_pair.clean, ad_pair.error, k=1)
+        join = VectorEngine(ad_pair.clean, ad_pair.error, k=1)
         join.run("SDX")
         first = join._sdx_l
         join.run("SDX")
@@ -56,14 +58,14 @@ class TestSchemeOptions:
 
 class TestChunkSizing:
     def test_filter_chunk_never_below_dp_chunk(self):
-        join = ChunkedJoin(["AB"], ["AB"], chunk=1 << 18, filter_chunk=1 << 4)
+        join = VectorEngine(["AB"], ["AB"], chunk=1 << 18, filter_chunk=1 << 4)
         assert join.filter_chunk == 1 << 18
 
     def test_filter_chunk_does_not_change_results(self, ad_pair):
-        small = ChunkedJoin(
+        small = VectorEngine(
             ad_pair.clean, ad_pair.error, k=1, filter_chunk=1 << 6
         )
-        big = ChunkedJoin(
+        big = VectorEngine(
             ad_pair.clean, ad_pair.error, k=1, filter_chunk=1 << 20
         )
         for method in ("FBF", "LFPDL", "Ham", "SDX"):
@@ -85,7 +87,7 @@ class TestLengthBucketing:
         assert _group_by_value(np.array([], dtype=np.int64)) == {}
 
     def test_length_pairs_cover_exactly_passing_pairs(self, ad_pair):
-        join = ChunkedJoin(ad_pair.clean, ad_pair.error, k=1)
+        join = VectorEngine(ad_pair.clean, ad_pair.error, k=1)
         ii, jj = join._length_pairs()
         got = set(zip(ii.tolist(), jj.tolist()))
         want = {
@@ -97,7 +99,7 @@ class TestLengthBucketing:
         assert got == want
 
     def test_record_matches_on_filtered_method(self, ad_pair):
-        join = ChunkedJoin(
+        join = VectorEngine(
             ad_pair.clean, ad_pair.error, k=1, record_matches=True
         )
         res = join.run("LFPDL")
@@ -108,12 +110,14 @@ class TestLengthBucketing:
         )
 
     def test_k0_bucketing(self, ad_pair):
-        join = ChunkedJoin(ad_pair.clean, ad_pair.error, k=0)
+        join = VectorEngine(ad_pair.clean, ad_pair.error, k=0)
         res = join.run("LFPDL")
         # At k=0 only identical strings match; error injection means
         # nothing on the diagonal survives.
-        matcher = build_matcher("LFPDL", k=0, scheme="alnum")
-        ref = match_strings(ad_pair.clean, ad_pair.error, matcher)
+        ref = repro.join(
+            ad_pair.clean, ad_pair.error, "LFPDL", k=0, scheme="alnum",
+            generator="all-pairs", backend="scalar",
+        )
         assert res.match_count == ref.match_count
 
 
