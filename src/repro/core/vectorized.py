@@ -9,8 +9,11 @@ moves the *batch* operations into NumPy:
   :func:`alnum_signatures_batch` — signature matrices ``(n, width)`` of
   ``uint32``, bit-identical to the scalar Algorithms 4-5 (pinned by
   tests).
+* :func:`pack_signatures` — the same matrices packed into ``uint64``
+  words, the layout the pair stage of :mod:`repro.parallel.chunked`
+  and the compiled kernels scan.
 * :func:`pairwise_diff_bits` — the full ``(n_left, n_right)`` diff-bit
-  matrix via XOR broadcasting and a byte-table popcount.
+  matrix via XOR broadcasting and a per-word popcount.
 * :func:`fbf_candidates` — the filter proper: the index pairs whose
   diff-bits are within the safe threshold, computed in row chunks so
   memory stays flat at ``O(chunk * n_right)``.
@@ -26,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.popcount import popcount_batch_u32
+from repro.core.popcount import popcount_batch_u32, popcount_batch_u64
 from repro.core.signatures import (
     ALPHA_DOUBLED_BIT,
     ALPHA_OVERFLOW_BIT,
@@ -39,6 +42,7 @@ __all__ = [
     "num_signatures_batch",
     "alnum_signatures_batch",
     "signatures_for_scheme",
+    "pack_signatures",
     "pairwise_diff_bits",
     "fbf_candidates",
     "length_candidates",
@@ -174,14 +178,41 @@ def signatures_for_scheme(
     return np.array(rows, dtype=np.uint32).reshape(len(strings), scheme.width)
 
 
-def _as_sig_matrix(sigs: np.ndarray) -> np.ndarray:
-    """Coerce a signature array to ``(n, width)`` uint32.
+def pack_signatures(sigs: np.ndarray) -> np.ndarray:
+    """Pack an ``(n, w)`` uint32 signature matrix into uint64 words.
 
-    A 1-D input is a width-1 signature *column* (one word per string),
-    not a single multi-word signature — hence the explicit reshape
-    rather than ``np.atleast_2d`` (which would produce ``(1, n)``).
+    Halves the XOR+popcount sweeps per pair; odd widths are padded with
+    a zero column (XOR of equal zeros contributes no diff bits, so the
+    FBF distance is unchanged).
     """
-    arr = np.asarray(sigs, dtype=np.uint32)
+    sigs = np.ascontiguousarray(sigs, dtype=np.uint32)
+    if sigs.ndim == 1:
+        sigs = sigs[:, None]
+    n, w = sigs.shape
+    if w == 0:
+        return np.zeros((n, 1), dtype=np.uint64)
+    if w % 2:
+        padded = np.zeros((n, w + 1), dtype=np.uint32)
+        padded[:, :w] = sigs
+        sigs = padded
+    return sigs.view(np.uint64)
+
+
+def _as_sig_matrix(sigs: np.ndarray) -> np.ndarray:
+    """Coerce a signature array to ``(n, width)``, keeping its word type.
+
+    Signature words are ``uint32`` (one scheme word each) or ``uint64``
+    (packed by :func:`pack_signatures`); any other dtype raises
+    ``TypeError`` rather than being cast, which would truncate packed
+    words.  A 1-D input is a width-1 signature *column* (one word per
+    string), not a single multi-word signature — hence the explicit
+    reshape rather than ``np.atleast_2d`` (which would produce ``(1, n)``).
+    """
+    arr = np.asarray(sigs)
+    if arr.dtype not in (np.uint32, np.uint64):
+        raise TypeError(
+            f"signatures must be uint32 or uint64 words, got {arr.dtype}"
+        )
     if arr.ndim == 1:
         return arr[:, None]
     if arr.ndim != 2:
@@ -192,19 +223,22 @@ def _as_sig_matrix(sigs: np.ndarray) -> np.ndarray:
 def pairwise_diff_bits(left_sigs: np.ndarray, right_sigs: np.ndarray) -> np.ndarray:
     """Full diff-bit matrix: ``out[i, j] = diff_bits(left[i], right[j])``.
 
-    Inputs are ``(n, width)`` uint32 matrices (a 1-D array is treated as
-    width 1).  Output is ``(n_left, n_right)`` uint16.  Allocates one
-    ``n_left x n_right`` uint32 temporary per signature word; use
-    :func:`fbf_candidates` for products too large to hold.
+    Inputs are ``(n, width)`` uint32 or packed uint64 matrices (a 1-D
+    array is treated as width 1).  Output is ``(n_left, n_right)``
+    uint16.  Allocates one ``n_left x n_right`` word temporary per
+    signature word; use :func:`fbf_candidates` for products too large
+    to hold.
     """
     L = _as_sig_matrix(left_sigs)
     R = _as_sig_matrix(right_sigs)
     if L.shape[1] != R.shape[1]:
         raise ValueError(f"signature widths differ: {L.shape[1]} vs {R.shape[1]}")
+    wide = np.uint64 in (L.dtype, R.dtype)
+    popcount = popcount_batch_u64 if wide else popcount_batch_u32
     out = np.zeros((L.shape[0], R.shape[0]), dtype=np.uint16)
     for w in range(L.shape[1]):
         xor = L[:, w][:, None] ^ R[:, w][None, :]
-        out += popcount_batch_u32(xor)
+        out += popcount(xor)
     return out
 
 
@@ -218,8 +252,9 @@ def fbf_candidates(
     """Index pairs with ``diff_bits <= bound`` — the FBF filter at scale.
 
     Streams the left side in ``chunk_rows`` blocks so peak memory is
-    ``O(chunk_rows * n_right)`` regardless of product size.  Returns
-    ``(ii, jj)`` int64 arrays.
+    ``O(chunk_rows * n_right)`` regardless of product size.  Signatures
+    are uint32 or packed uint64 words (see :func:`pairwise_diff_bits`).
+    Returns ``(ii, jj)`` int64 arrays.
     """
     L = _as_sig_matrix(left_sigs)
     R = _as_sig_matrix(right_sigs)

@@ -25,27 +25,29 @@ __all__ = ["load"]
 _BLOCK_PAIRS = 1 << 24
 
 
-def _scan(fn, L: np.ndarray, R: np.ndarray, bound: int):
-    nl, width = L.shape
-    nr = R.shape[0]
+def _emit_rows(r0: int, r1: int, nr: int, call):
+    """Drive a candidate-emitting kernel over rows ``[r0, r1)`` of the
+    left side against ``nr`` right rows.
+
+    ``call(b0, b1, out_i, out_j, cap)`` runs the kernel on one row
+    block and returns the pair count, or ``-1`` when ``cap`` overflows
+    (the block is then re-run with a doubled buffer).
+    """
     empty = np.empty(0, dtype=np.int64)
-    if nl == 0 or nr == 0:
+    if r1 <= r0 or nr == 0:
         return empty, empty.copy()
-    rows_per = max(1, min(nl, _BLOCK_PAIRS // max(nr, 1)))
+    rows_per = max(1, min(r1 - r0, _BLOCK_PAIRS // nr))
     ii_parts: list[np.ndarray] = []
     jj_parts: list[np.ndarray] = []
     density = 0.05
-    for r0 in range(0, nl, rows_per):
-        r1 = min(nl, r0 + rows_per)
-        pairs = (r1 - r0) * nr
+    for b0 in range(r0, r1, rows_per):
+        b1 = min(r1, b0 + rows_per)
+        pairs = (b1 - b0) * nr
         cap = min(pairs, max(1024, int(pairs * density) + 1024))
         while True:
             out_i = np.empty(cap, dtype=np.int64)
             out_j = np.empty(cap, dtype=np.int64)
-            n = fn(
-                L.ctypes.data, R.ctypes.data, r0, r1, nr, width, bound,
-                out_i.ctypes.data, out_j.ctypes.data, cap,
-            )
+            n = call(b0, b1, out_i, out_j, cap)
             if n >= 0:
                 break
             cap = min(pairs, cap * 2)
@@ -75,14 +77,15 @@ def load():
     if raw is None:
         raise RuntimeError(_csrc.build_error() or "C kernel build failed")
 
-    def fbf_scan_u32(L, R, bound):
-        return _scan(raw["fbf_scan_u32"], L, R, bound)
-
     def fbf_scan_u64(L, R, bound):
-        return _scan(raw["fbf_scan_u64"], L, R, bound)
-
-    def pair_mask_u32(L, R, ii, jj, bound):
-        return _pair_mask(raw["pair_mask_u32"], L, R, ii, jj, bound)
+        nr, width = R.shape[0], L.shape[1]
+        return _emit_rows(
+            0, L.shape[0], nr,
+            lambda b0, b1, out_i, out_j, cap: raw["fbf_scan_u64"](
+                L.ctypes.data, R.ctypes.data, b0, b1, nr, width, bound,
+                out_i.ctypes.data, out_j.ctypes.data, cap,
+            ),
+        )
 
     def pair_mask_u64(L, R, ii, jj, bound):
         return _pair_mask(raw["pair_mask_u64"], L, R, ii, jj, bound)
@@ -101,49 +104,29 @@ def load():
         return out
 
     def fused_rows_u64(L, R, len_l, len_r, r0, r1, bound, k, filter_codes):
-        nr = R.shape[0]
-        width = L.shape[1]
+        nr, width = R.shape[0], L.shape[1]
         nf = filter_codes.shape[0]
         passed_total = np.zeros(nf, dtype=np.int64)
         passed_block = np.zeros(nf, dtype=np.int64)
-        empty = np.empty(0, dtype=np.int64)
-        if r1 <= r0 or nr == 0:
-            return empty, empty.copy(), passed_total
-        rows_per = max(1, min(r1 - r0, _BLOCK_PAIRS // max(nr, 1)))
-        ii_parts: list[np.ndarray] = []
-        jj_parts: list[np.ndarray] = []
-        density = 0.05
-        for b0 in range(r0, r1, rows_per):
-            b1 = min(r1, b0 + rows_per)
-            pairs = (b1 - b0) * nr
-            cap = min(pairs, max(1024, int(pairs * density) + 1024))
-            while True:
-                out_i = np.empty(cap, dtype=np.int64)
-                out_j = np.empty(cap, dtype=np.int64)
-                n = raw["fused_rows_u64"](
-                    L.ctypes.data, R.ctypes.data, width,
-                    len_l.ctypes.data, len_r.ctypes.data,
-                    b0, b1, nr, bound, k,
-                    filter_codes.ctypes.data, nf,
-                    out_i.ctypes.data, out_j.ctypes.data, cap,
-                    passed_block.ctypes.data,
-                )
-                if n >= 0:
-                    break
-                cap = min(pairs, cap * 2)
-            if n:
-                ii_parts.append(out_i[:n].copy())
-                jj_parts.append(out_j[:n].copy())
-            passed_total += passed_block
-            density = max(density, n / pairs)
-        if not ii_parts:
-            return empty, empty.copy(), passed_total
-        return np.concatenate(ii_parts), np.concatenate(jj_parts), passed_total
+
+        def call(b0, b1, out_i, out_j, cap):
+            n = raw["fused_rows_u64"](
+                L.ctypes.data, R.ctypes.data, width,
+                len_l.ctypes.data, len_r.ctypes.data,
+                b0, b1, nr, bound, k,
+                filter_codes.ctypes.data, nf,
+                out_i.ctypes.data, out_j.ctypes.data, cap,
+                passed_block.ctypes.data,
+            )
+            if n >= 0:  # an overflowed block is re-run from scratch
+                passed_total[:] += passed_block
+            return n
+
+        ii, jj = _emit_rows(r0, r1, nr, call)
+        return ii, jj, passed_total
 
     return {
-        "fbf_scan_u32": fbf_scan_u32,
         "fbf_scan_u64": fbf_scan_u64,
-        "pair_mask_u32": pair_mask_u32,
         "pair_mask_u64": pair_mask_u64,
         "osa_mask": osa_mask,
         "fused_rows_u64": fused_rows_u64,

@@ -12,17 +12,22 @@ call per pair:
   implemented over NumPy pair chunks (:mod:`repro.distance.vectorized`
   + :mod:`repro.core.vectorized`).  One process, no per-pair Python;
   the plan layer's ``vectorized`` backend, and its ``native`` backend
-  when armed with the compiled kernels of :mod:`repro.native`.
+  when armed with the compiled kernels of :mod:`repro.native`.  Its
+  array-level pair stage (:class:`~repro.parallel.chunked.PairStage`:
+  filter masks, verifier table, dense row sweep, tally loop) is the
+  one place pairs are decided in bulk.
 * :mod:`repro.parallel.shm` — the zero-copy hybrid: encodings are
   published once through ``multiprocessing.shared_memory`` and a
   persistent :class:`WorkerPool` (reused across joins and serve
-  batches) runs the vectorized chunk kernels inside each worker; the
-  plan layer's ``hybrid`` backend and the only multi-process path.
+  batches) runs the engine's pair-stage code inside each worker over
+  the attached arrays; the plan layer's ``hybrid`` backend and the
+  only multi-process path.
 
 The two engines are composed with candidate generators by
 :class:`repro.core.plan.JoinPlanner`.
 """
 
+from repro.core.vectorized import pack_signatures
 from repro.parallel.chunked import VectorEngine, VJoinResult
 from repro.parallel.partition import balanced_splits, iter_pair_blocks, row_blocks
 from repro.parallel.shm import (
@@ -31,9 +36,7 @@ from repro.parallel.shm import (
     SideArrays,
     WorkerPool,
     close_shared_pools,
-    hybrid_join,
     inline_side,
-    pack_signatures,
     run_hybrid,
     shared_pool,
 )
@@ -47,7 +50,6 @@ __all__ = [
     "WorkerPool",
     "balanced_splits",
     "close_shared_pools",
-    "hybrid_join",
     "inline_side",
     "iter_pair_blocks",
     "pack_signatures",

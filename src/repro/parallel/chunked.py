@@ -1,17 +1,24 @@
-"""The vectorized similarity join: every method stack over NumPy chunks.
+"""The vectorized similarity join and the array-level pair stage.
+
+:class:`PairStage` decides candidate pairs in bulk over two encoded
+sides — uint8 code matrices, lengths and FBF signatures packed into
+uint64 words (:func:`encode_side`).  It holds the per-pair filter
+masks, the verifier table, the dense row sweep and the weighted
+verify-and-tally loop, written once: :class:`VectorEngine` is a pair
+stage over its own encodings, and the worker pool of
+:mod:`repro.parallel.shm` builds one per task over attached shared
+arrays, so every backend but the scalar one runs this code.
 
 :class:`VectorEngine` is the scaled twin of the scalar reference join:
 same methods, same decisions (pinned by the equivalence tests), but the
 pair loop runs as NumPy operations over bounded chunks instead of
 per-pair Python.  This is the engine the runtime-curve experiments
 (paper Figures 7 and 9) use, since their products reach hundreds of
-millions of pairs.
-
-Since the planner refactor the engine serves as the *vectorized
-execution backend* of :mod:`repro.core.plan`: :meth:`VectorEngine.run`
-covers full-product plans and :meth:`VectorEngine.run_candidates`
-verifies an explicit candidate stream from any candidate generator
-(length buckets, the FBF signature index, key blocking).
+millions of pairs.  It is also the *vectorized execution backend* of
+:mod:`repro.core.plan`: :meth:`VectorEngine.run` covers full-product
+plans and :meth:`VectorEngine.run_candidates` verifies an explicit
+candidate stream from any candidate generator (length buckets, the FBF
+signature index, key blocking).
 
 Timing fidelity note (DESIGN.md): *all* methods run in the same
 vectorized paradigm here, so relative timings — the paper's speedup
@@ -29,23 +36,25 @@ shared no-op and the hot loops are unchanged.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.core.join import JoinResult
-from repro.core.matchers import method_registry
-from repro.core.popcount import popcount_batch_u32
+from repro.core.matchers import MethodSpec, method_registry
+from repro.core.popcount import popcount_batch_u64
 from repro.core.signatures import SignatureScheme, detect_kind, scheme_for
 from repro.core.vectorized import (
     fbf_candidates,
+    pack_signatures,
     signatures_for_scheme,
     value_identity_codes,
 )
 from repro.distance.codec import encode_raw
 from repro.distance.soundex import soundex
-from repro.native import MODE_DL, MODE_PDL, resolve_kernels
+from repro.native import MODE_DL, MODE_PDL, KernelSet, resolve_kernels
 from repro.distance.vectorized import (
     hamming_pairs,
     jaro_pairs,
@@ -57,9 +66,23 @@ from repro.obs.log import get_logger
 from repro.obs.stats import NULL_COLLECTOR
 from repro.parallel.partition import iter_pair_blocks
 
-__all__ = ["VectorEngine", "VJoinResult"]
+__all__ = [
+    "PairStage",
+    "PairTally",
+    "VectorEngine",
+    "VJoinResult",
+    "encode_side",
+    "soundex_ids",
+]
 
 _log = get_logger("parallel.chunked")
+
+#: pairs per chunk for the cheap sweeps (signature XOR+popcount, length
+#: masks, Hamming, Soundex), whose per-pair state is a few bytes
+_FILTER_CHUNK = 1 << 20
+#: pairs per chunk for the dynamic programs, whose per-pair state is
+#: hundreds of bytes (three rolling DP rows)
+_VERIFY_CHUNK = 1 << 12
 
 
 def _group_by_value(values: np.ndarray) -> dict[int, np.ndarray]:
@@ -73,6 +96,392 @@ def _group_by_value(values: np.ndarray) -> dict[int, np.ndarray]:
     for part in np.split(order, boundaries):
         groups[int(values[part[0]])] = part
     return groups
+
+
+# ---------------------------------------------------------------------------
+# The pair stage
+# ---------------------------------------------------------------------------
+
+
+def encode_side(
+    strings: Sequence[str], scheme: SignatureScheme, obs=NULL_COLLECTOR
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One dataset side as the pair stage reads it.
+
+    Returns ``(codes, lengths, sigs)``: the uint8 code matrix and int64
+    lengths of :func:`repro.distance.codec.encode_raw`, and the scheme's
+    signatures packed into uint64 words.
+    """
+    with obs.span("gen.encode"):
+        codes, lengths = encode_raw(strings)
+    with obs.span("gen.signatures"):
+        sigs = pack_signatures(signatures_for_scheme(strings, scheme))
+    return codes, lengths, sigs
+
+
+def soundex_ids(
+    left: Sequence[str], right: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Soundex codes as integer ids over one table shared by both sides,
+    so ids compare across sides; the empty code is id 0 and never
+    matches."""
+    table: dict[str, int] = {"": 0}
+
+    def ids(values: Sequence[str]) -> np.ndarray:
+        out = np.empty(len(values), dtype=np.int64)
+        for idx, v in enumerate(values):
+            out[idx] = table.setdefault(soundex(v), len(table))
+        return out
+
+    sdx_l = ids(left)
+    return sdx_l, (sdx_l if right is left else ids(right))
+
+
+@dataclass
+class PairTally:
+    """Counters and recorded matches of one pair-stage run.
+
+    ``match_count``/``diagonal`` are in original-pair units when a
+    weighter is applied; ``verified``/``compared`` count the pairs
+    actually decided.  Recorded matches are kept as index-array parts
+    (cheap to pickle back from a worker).
+    """
+
+    match_count: int = 0
+    diagonal: int = 0
+    verified: int = 0
+    compared: int = 0
+    mi: list[np.ndarray] = field(default_factory=list)
+    mj: list[np.ndarray] = field(default_factory=list)
+
+    def merge(self, other: "PairTally") -> None:
+        self.match_count += other.match_count
+        self.diagonal += other.diagonal
+        self.verified += other.verified
+        self.compared += other.compared
+        self.mi.extend(other.mi)
+        self.mj.extend(other.mj)
+
+    def matches(self) -> list[tuple[int, int]]:
+        """The recorded ``(i, j)`` matches in the order they were found."""
+        if not self.mi:
+            return []
+        return list(
+            zip(np.concatenate(self.mi).tolist(), np.concatenate(self.mj).tolist())
+        )
+
+    def join_result(
+        self, method: str, n_left: int, n_right: int, backend: str
+    ) -> JoinResult:
+        """This tally as the unified :class:`repro.core.join.JoinResult`."""
+        result = JoinResult(
+            method,
+            n_left,
+            n_right,
+            match_count=self.match_count,
+            diagonal_matches=self.diagonal,
+            verified_pairs=self.verified,
+            pairs_compared=self.compared,
+            backend=backend,
+        )
+        result.matches = self.matches()
+        return result
+
+
+def _units(ii: np.ndarray, ww: np.ndarray | None) -> int:
+    return len(ii) if ww is None else int(ww.sum())
+
+
+class PairStage:
+    """Filter → verify → tally over two encoded sides.
+
+    ``left``/``right`` are ``(codes, lengths, sigs)`` triples as built
+    by :func:`encode_side`.  ``sdx`` and ``vid`` are optional
+    ``(left, right)`` pairs of Soundex ids (:func:`soundex_ids`) and
+    value-identity codes (self-join diagonals); a method that needs
+    missing ones raises.  ``native`` is a :class:`repro.native.KernelSet`
+    or ``None`` for the NumPy tier — every choice gives bit-identical
+    decisions.
+
+    Funnel accounting is the scalar driver's: per-block sums merge to
+    the same counters however the pairs were split into blocks, rows or
+    worker tasks, which is what the conservation tests pin.
+    """
+
+    def __init__(
+        self,
+        left: tuple[np.ndarray, np.ndarray, np.ndarray],
+        right: tuple[np.ndarray, np.ndarray, np.ndarray],
+        *,
+        k: int,
+        fbf_bound: int,
+        theta: float = 0.8,
+        variant: str = "paper",
+        chunk: int = _VERIFY_CHUNK,
+        filter_chunk: int = _FILTER_CHUNK,
+        self_join: bool = False,
+        record_matches: bool = False,
+        native: KernelSet | None = None,
+        sdx: tuple | None = None,
+        vid: tuple | None = None,
+    ):
+        self.codes_l, self.len_l, self.sigs_l = left
+        self.codes_r, self.len_r, self.sigs_r = right
+        self.k = k
+        self.fbf_bound = fbf_bound
+        self.theta = theta
+        self.variant = variant
+        self.chunk = chunk
+        self.filter_chunk = max(chunk, filter_chunk)
+        self.self_join = self_join
+        self.record_matches = record_matches
+        self._native = native
+        self._sdx_l, self._sdx_r = sdx or (None, None)
+        self._vid_l, self._vid_r = vid or (None, None)
+
+    # -- per-side lookups (VectorEngine computes these lazily) ---------------
+
+    def _sdx_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._sdx_l is None or self._sdx_r is None:
+            raise RuntimeError("soundex codes were not published for this join")
+        return self._sdx_l, self._sdx_r
+
+    def _value_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._vid_l, self._vid_r
+
+    def _diag_mask(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+        """Diagonal membership for a candidate block.
+
+        Positional (``i == j``) for two different datasets; value
+        identity (``left[i] == right[j]``) for self-joins, matching the
+        scalar driver's semantics.
+        """
+        if not self.self_join:
+            return ii == jj
+        vid_l, vid_r = self._value_ids()
+        return vid_l[ii] == vid_r[jj]
+
+    # -- the verifier table --------------------------------------------------
+
+    def _verifier(
+        self, kind: str | None
+    ) -> Callable[[np.ndarray, np.ndarray], np.ndarray] | None:
+        """The per-pair decision predicate for one verifier kind
+        (``None`` for filter-only methods)."""
+        if kind is None:
+            return None
+        cl, ll, cr, lr, k = self.codes_l, self.len_l, self.codes_r, self.len_r, self.k
+        native = self._native
+        if kind in ("dl", "pdl"):
+            if native is not None:
+                mode = MODE_DL if kind == "dl" else MODE_PDL
+                return lambda ii, jj: native.osa_decisions(
+                    cl, ll, cr, lr, ii, jj, k, mode=mode
+                )
+            if kind == "dl":
+                return lambda ii, jj: osa_pairs(cl, ll, cr, lr, ii, jj) <= k
+            return lambda ii, jj: osa_within_k_pairs(cl, ll, cr, lr, ii, jj, k)
+        if kind == "ham":
+            return lambda ii, jj: hamming_pairs(cl, ll, cr, lr, ii, jj) <= k
+        if kind == "jaro":
+            return lambda ii, jj: (
+                jaro_pairs(cl, ll, cr, lr, ii, jj, self.variant) >= self.theta
+            )
+        if kind == "wink":
+            return lambda ii, jj: (
+                jaro_winkler_pairs(cl, ll, cr, lr, ii, jj, 0.1, self.variant)
+                >= self.theta
+            )
+        if kind == "sdx":
+            sl, sr = self._sdx_codes()
+            return lambda ii, jj: (sl[ii] == sr[jj]) & (sl[ii] != 0)
+        raise ValueError(f"unknown verifier kind {kind!r}")
+
+    def _verify_chunk(self, kind: str | None) -> int:
+        """Pairs per verifier call for one verifier kind."""
+        if kind in ("ham", "sdx"):  # a couple of bytes of per-pair state
+            return self.filter_chunk
+        if kind in ("jaro", "wink"):
+            # Match flags + rank buffers sit between the DP rows and the
+            # byte sweeps; 2x the DP chunk is the measured sweet spot.
+            return self.chunk * 2
+        return self.chunk
+
+    # -- filters -------------------------------------------------------------
+
+    def _pair_filter_mask(
+        self, name: str, ii: np.ndarray, jj: np.ndarray
+    ) -> np.ndarray:
+        """Per-pair boolean mask of one named filter over candidate arrays."""
+        if name == "length":
+            return np.abs(self.len_l[ii] - self.len_r[jj]) <= self.k
+        if name == "fbf":
+            if self._native is not None:
+                return self._native.sig_pair_mask(
+                    self.sigs_l, self.sigs_r, ii, jj, self.fbf_bound
+                )
+            db = np.zeros(len(ii), dtype=np.uint16)
+            for w in range(self.sigs_l.shape[1]):
+                db += popcount_batch_u64(self.sigs_l[ii, w] ^ self.sigs_r[jj, w])
+            return db <= self.fbf_bound
+        raise ValueError(f"unknown filter {name!r}")
+
+    def _dense_filter_mask(self, name: str, c0: int, c1: int) -> np.ndarray:
+        """One named filter over left rows ``c0:c1`` × all of right."""
+        if name == "length":
+            return np.abs(self.len_l[c0:c1, None] - self.len_r[None, :]) <= self.k
+        pl, pr = self.sigs_l, self.sigs_r
+        words = pl.shape[1]
+        acc = None
+        for w in range(words):
+            pc = popcount_batch_u64(pl[c0:c1, w][:, None] ^ pr[:, w][None, :])
+            if words == 1:
+                return pc <= self.fbf_bound
+            if acc is None:
+                acc = pc.astype(np.uint16)
+            else:
+                acc += pc
+        return acc <= self.fbf_bound
+
+    # -- execution -----------------------------------------------------------
+
+    def _tally(
+        self,
+        tally: PairTally,
+        ii: np.ndarray,
+        jj: np.ndarray,
+        ww: np.ndarray | None,
+        kind: str | None,
+        obs,
+    ) -> None:
+        """Survivors → verify → match, in chunks; ``ww`` weights each
+        pair in original-pair units (``None``: every pair counts 1)."""
+        surviving = _units(ii, ww)
+        obs.add_survivors(surviving)
+        if len(ii) == 0:
+            return
+        verifier = self._verifier(kind)
+        if verifier is None:
+            dm = self._diag_mask(ii, jj)
+            tally.match_count += surviving
+            tally.diagonal += int(dm.sum()) if ww is None else int(ww[dm].sum())
+            if self.record_matches:
+                tally.mi.append(ii)
+                tally.mj.append(jj)
+            obs.add_matched(surviving)
+            return
+        tally.verified += len(ii)
+        obs.add_verified(surviving)
+        vchunk = self._verify_chunk(kind)
+        for c0 in range(0, len(ii), vchunk):
+            bi = ii[c0 : c0 + vchunk]
+            bj = jj[c0 : c0 + vchunk]
+            hits = verifier(bi, bj)
+            dm = self._diag_mask(bi, bj)
+            if ww is None:
+                n_hits = int(hits.sum())
+                tally.diagonal += int((hits & dm).sum())
+            else:
+                bw = ww[c0 : c0 + vchunk]
+                n_hits = int(bw[hits].sum())
+                tally.diagonal += int(bw[hits & dm].sum())
+            tally.match_count += n_hits
+            if self.record_matches and n_hits:
+                tally.mi.append(bi[hits])
+                tally.mj.append(bj[hits])
+            obs.add_matched(n_hits)  # per-chunk aggregate merge
+
+    def run_pairs(
+        self,
+        spec: MethodSpec,
+        ii: np.ndarray,
+        jj: np.ndarray,
+        tally: PairTally,
+        obs=NULL_COLLECTOR,
+        weighter=None,
+    ) -> None:
+        """Filter, verify and tally one candidate block.
+
+        ``weighter`` (a :class:`repro.core.multiplicity.PairWeighter`)
+        puts the funnel counters and match counts in original-pair
+        units when the candidates live in unique-value space.
+        """
+        ii = np.asarray(ii, dtype=np.int64)
+        jj = np.asarray(jj, dtype=np.int64)
+        tally.compared += len(ii)
+        ww = None if weighter is None else weighter.block(ii, jj)
+        obs.add_pairs(_units(ii, ww))
+        for fname in spec.filters:
+            tested = _units(ii, ww)
+            mask = self._pair_filter_mask(fname, ii, jj)
+            ii, jj = ii[mask], jj[mask]
+            if ww is not None:
+                ww = ww[mask]
+            obs.add_stage(fname, tested, _units(ii, ww))
+        self._tally(tally, ii, jj, ww, spec.verifier, obs)
+
+    def run_rows(
+        self, spec: MethodSpec, r0: int, r1: int, tally: PairTally, obs=NULL_COLLECTOR
+    ) -> None:
+        """Dense sweep of left rows ``r0:r1`` against all of right.
+
+        Global row indices throughout, so the positional diagonal and
+        recorded matches need no rebasing.  Stage counters are
+        cumulative-AND survivor counts on both the fused native sweep
+        and the NumPy mask chain, so the merged funnel is identical.
+        """
+        nr = len(self.len_r)
+        if nr == 0 or r1 <= r0:
+            return
+        native = self._native
+        if native is not None and spec.filters and native.supports_filters(
+            spec.filters
+        ):
+            # Fused sweep: filters + candidate emission in one compiled
+            # pass, no dense boolean intermediates.
+            block = (r1 - r0) * nr
+            tally.compared += block
+            obs.add_pairs(block)
+            ii, jj, passed = native.fused_rows_u64(
+                self.sigs_l, self.sigs_r, self.len_l, self.len_r, r0, r1,
+                bound=self.fbf_bound, k=self.k, filters=spec.filters,
+            )
+            tested = block
+            for fname, npass in zip(spec.filters, passed):
+                obs.add_stage(fname, tested, int(npass))
+                tested = int(npass)
+            self._tally(tally, ii, jj, None, spec.verifier, obs)
+            return
+        rows_per = max(1, self.filter_chunk // nr)
+        for c0 in range(r0, r1, rows_per):
+            c1 = min(r1, c0 + rows_per)
+            block = (c1 - c0) * nr
+            tally.compared += block
+            obs.add_pairs(block)
+            mask = None
+            tested = block
+            for fname in spec.filters:
+                fm = self._dense_filter_mask(fname, c0, c1)
+                mask = fm if mask is None else (mask & fm)
+                passed = int(np.count_nonzero(mask))
+                obs.add_stage(fname, tested, passed)
+                tested = passed
+            if mask is None:
+                ii = np.repeat(np.arange(c0, c1, dtype=np.int64), nr)
+                jj = np.tile(np.arange(nr, dtype=np.int64), c1 - c0)
+            else:
+                # flatnonzero over the raveled *bool* mask is ~10x a 2-D
+                # nonzero — the survivor extraction is the sweep's
+                # second-biggest cost after the popcount itself.
+                idx = np.flatnonzero(mask.ravel())
+                ii = idx // nr + c0
+                jj = idx % nr
+            self._tally(tally, ii, jj, None, spec.verifier, obs)
+
+
+# ---------------------------------------------------------------------------
+# The vectorized engine
+# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -98,13 +507,14 @@ class VJoinResult:
         return self.match_count - self.diagonal_matches
 
 
-class VectorEngine:
+class VectorEngine(PairStage):
     """A prepared vectorized join over two string datasets.
 
-    Encoding, lengths, FBF signatures and Soundex codes are computed
-    once at construction (the paper's "Gen" cost); :meth:`run` then
-    executes any method stack by name over the full product, and
-    :meth:`run_candidates` over an explicit candidate pair stream.
+    Encoding, lengths and packed FBF signatures are computed once at
+    construction (the paper's "Gen" cost; Soundex ids and self-join
+    value ids on first use); :meth:`run` then executes any method stack
+    by name over the full product, and :meth:`run_candidates` over an
+    explicit candidate pair stream through the :class:`PairStage` code.
 
     Parameters
     ----------
@@ -156,8 +566,8 @@ class VectorEngine:
         theta: float = 0.8,
         scheme_kind: SignatureScheme | str | None = None,
         levels: int = 2,
-        chunk: int = 1 << 12,
-        filter_chunk: int = 1 << 20,
+        chunk: int = _VERIFY_CHUNK,
+        filter_chunk: int = _FILTER_CHUNK,
         variant: str = "paper",
         record_matches: bool = False,
         collector=None,
@@ -172,55 +582,43 @@ class VectorEngine:
             )
         self.left = left
         self.right = right
-        self.k = k
-        self.theta = theta
-        self.chunk = chunk
-        self.filter_chunk = max(chunk, filter_chunk)
-        self.variant = variant
-        self.record_matches = record_matches
         self.collector = collector
         self.kernels = kernels or "numpy"
-        self._native = resolve_kernels(self.kernels, warn_key="engine")
         obs = collector if collector else NULL_COLLECTOR
         self._obs = NULL_COLLECTOR  # run-scoped; set by run()
-        with obs.span("gen.encode"):
-            self.codes_l, self.len_l = encode_raw(left)
-            if share_right is not None:
-                self.codes_r, self.len_r = share_right.codes_r, share_right.len_r
-            else:
-                self.codes_r, self.len_r = encode_raw(right)
         if share_right is not None:
-            self.scheme = share_right.scheme
+            scheme = share_right.scheme
         elif isinstance(scheme_kind, SignatureScheme):
-            self.scheme = scheme_kind
+            scheme = scheme_kind
         else:
             kind = scheme_kind or detect_kind(
                 list(left[:128]) + list(right[:128])
             )
-            self.scheme = scheme_for(kind, levels)
-        with obs.span("gen.signatures"):
-            self.sigs_l = signatures_for_scheme(left, self.scheme)
-            self.sigs_r = (
-                share_right.sigs_r
-                if share_right is not None
-                else signatures_for_scheme(right, self.scheme)
-            )
-        if self.sigs_l.ndim == 1:
-            self.sigs_l = self.sigs_l[:, None]
-        if self.sigs_r.ndim == 1:
-            self.sigs_r = self.sigs_r[:, None]
-        self.fbf_bound = self.scheme.safe_threshold(k)
-        self._sdx_l: np.ndarray | None = None
-        self._sdx_r: np.ndarray | None = None
+            scheme = scheme_for(kind, levels)
+        self.scheme = scheme
+        left_side = encode_side(left, scheme, obs)
+        if share_right is not None:
+            right_side = (share_right.codes_r, share_right.len_r, share_right.sigs_r)
+        else:
+            right_side = encode_side(right, scheme, obs)
+        super().__init__(
+            left_side,
+            right_side,
+            k=k,
+            fbf_bound=scheme.safe_threshold(k),
+            theta=theta,
+            variant=variant,
+            chunk=chunk,
+            filter_chunk=filter_chunk,
+            # self-joins count the diagonal by value identity (see
+            # JoinResult's diagonal-semantics note), detected once here.
+            self_join=right is left
+            or (len(left) == len(right) and list(left) == list(right)),
+            record_matches=record_matches,
+            native=resolve_kernels(self.kernels, warn_key="engine"),
+        )
         self._len_groups_l: dict[int, np.ndarray] | None = None
         self._len_groups_r: dict[int, np.ndarray] | None = None
-        #: self-joins count the diagonal by value identity (see
-        #: JoinResult's diagonal-semantics note), detected once here.
-        self.self_join = right is left or (
-            len(left) == len(right) and list(left) == list(right)
-        )
-        self._vid_l: np.ndarray | None = None
-        self._vid_r: np.ndarray | None = None
 
     # -- method dispatch ---------------------------------------------------
 
@@ -252,72 +650,43 @@ class VectorEngine:
         finally:
             self._obs = NULL_COLLECTOR
 
-    # -- verifiers ----------------------------------------------------------
+    # -- lazily computed per-side lookups ------------------------------------
 
-    def _verify_dl(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-        if self._native is not None:
-            return self._native.osa_decisions(
-                self.codes_l, self.len_l, self.codes_r, self.len_r,
-                ii, jj, self.k, mode=MODE_DL,
-            )
-        return (
-            osa_pairs(self.codes_l, self.len_l, self.codes_r, self.len_r, ii, jj)
-            <= self.k
-        )
+    def _sdx_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._sdx_l is None:
+            self._sdx_l, self._sdx_r = soundex_ids(self.left, self.right)
+        return self._sdx_l, self._sdx_r
 
-    def _verify_pdl(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-        if self._native is not None:
-            return self._native.osa_decisions(
-                self.codes_l, self.len_l, self.codes_r, self.len_r,
-                ii, jj, self.k, mode=MODE_PDL,
-            )
-        return osa_within_k_pairs(
-            self.codes_l, self.len_l, self.codes_r, self.len_r, ii, jj, self.k
-        )
-
-    # -- diagonal ------------------------------------------------------------
-
-    def _diag_mask(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-        """Diagonal membership for a candidate block.
-
-        Positional (``i == j``) for two different datasets; value
-        identity (``left[i] == right[j]``) for self-joins, matching the
-        scalar driver's semantics.
-        """
-        if not self.self_join:
-            return ii == jj
+    def _value_ids(self) -> tuple[np.ndarray, np.ndarray]:
         if self._vid_l is None:
             self._vid_l, self._vid_r = value_identity_codes(self.left, self.right)
-        return self._vid_l[ii] == self._vid_r[jj]
+        return self._vid_l, self._vid_r
+
+    def _vresult(
+        self, method: str, tally: PairTally, verified: int
+    ) -> VJoinResult:
+        return VJoinResult(
+            method,
+            len(self.left),
+            len(self.right),
+            match_count=tally.match_count,
+            diagonal_matches=tally.diagonal,
+            verified_pairs=verified,
+            matches=tally.matches(),
+        )
 
     # -- full-product predicate runner ---------------------------------------
 
-    def _full_product(
-        self,
-        method: str,
-        predicate: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        *,
-        chunk: int | None = None,
-    ) -> VJoinResult:
+    def _full_product(self, method: str, kind: str) -> VJoinResult:
         obs = self._obs
-        result = VJoinResult(method, len(self.left), len(self.right))
-        chunk = chunk or self.chunk
+        tally = PairTally()
+        chunk = self._verify_chunk(kind)
         for ii, jj in iter_pair_blocks(len(self.left), len(self.right), chunk):
-            hits = predicate(ii, jj)
-            n_hits = int(hits.sum())
-            result.match_count += n_hits
-            result.diagonal_matches += int((hits & self._diag_mask(ii, jj)).sum())
-            if self.record_matches:
-                result.matches.extend(
-                    zip(ii[hits].tolist(), jj[hits].tolist())
-                )
             # Per-chunk aggregates; no filter stage, so every pair flows
             # straight to the decision predicate.
             obs.add_pairs(len(ii))
-            obs.add_survivors(len(ii))
-            obs.add_verified(len(ii))
-            obs.add_matched(n_hits)
-        return result
+            self._tally(tally, ii, jj, None, kind, obs)
+        return self._vresult(method, tally, 0)
 
     # -- filtered runner ------------------------------------------------------
 
@@ -325,34 +694,15 @@ class VectorEngine:
         self,
         method: str,
         candidates: tuple[np.ndarray, np.ndarray],
-        verifier: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
+        kind: str | None,
     ) -> VJoinResult:
         obs = self._obs
         ii, jj = candidates
-        result = VJoinResult(method, len(self.left), len(self.right))
+        tally = PairTally()
         obs.add_pairs(len(self.left) * len(self.right))
-        obs.add_survivors(len(ii))
-        if verifier is None:
-            result.match_count = len(ii)
-            result.diagonal_matches = int(self._diag_mask(ii, jj).sum())
-            if self.record_matches:
-                result.matches.extend(zip(ii.tolist(), jj.tolist()))
-            obs.add_matched(result.match_count)
-            return result
-        result.verified_pairs = len(ii)
-        obs.add_verified(len(ii))
-        with obs.span("verify"):
-            for c0 in range(0, len(ii), self.chunk):
-                bi = ii[c0 : c0 + self.chunk]
-                bj = jj[c0 : c0 + self.chunk]
-                hits = verifier(bi, bj)
-                n_hits = int(hits.sum())
-                result.match_count += n_hits
-                result.diagonal_matches += int((hits & self._diag_mask(bi, bj)).sum())
-                if self.record_matches:
-                    result.matches.extend(zip(bi[hits].tolist(), bj[hits].tolist()))
-                obs.add_matched(n_hits)  # per-chunk aggregate merge
-        return result
+        with obs.span("verify") if kind else nullcontext():
+            self._tally(tally, ii, jj, None, kind, obs)
+        return self._vresult(method, tally, tally.verified)
 
     # -- candidate generators --------------------------------------------------
 
@@ -462,62 +812,6 @@ class VectorEngine:
 
     # -- candidate-stream execution (plan-layer backend) -----------------------
 
-    def _pair_filter_mask(
-        self, name: str, ii: np.ndarray, jj: np.ndarray
-    ) -> np.ndarray:
-        """Per-pair boolean mask of one named filter over candidate arrays."""
-        if name == "length":
-            return np.abs(self.len_l[ii] - self.len_r[jj]) <= self.k
-        if name == "fbf":
-            if self._native is not None:
-                return self._native.sig_pair_mask(
-                    self.sigs_l, self.sigs_r, ii, jj, self.fbf_bound
-                )
-            db = np.zeros(len(ii), dtype=np.uint16)
-            sigs_l, sigs_r = self.sigs_l, self.sigs_r
-            for w in range(sigs_l.shape[1]):
-                db += popcount_batch_u32(sigs_l[ii, w] ^ sigs_r[jj, w])
-            return db <= self.fbf_bound
-        raise ValueError(f"unknown filter {name!r}")
-
-    def _pair_verifier(
-        self, kind: str | None
-    ) -> Callable[[np.ndarray, np.ndarray], np.ndarray] | None:
-        """The per-pair decision predicate for one verifier kind."""
-        if kind is None:
-            return None
-        if kind == "dl":
-            return self._verify_dl
-        if kind == "pdl":
-            return self._verify_pdl
-        if kind == "ham":
-            return lambda ii, jj: (
-                hamming_pairs(
-                    self.codes_l, self.len_l, self.codes_r, self.len_r, ii, jj
-                )
-                <= self.k
-            )
-        if kind == "jaro":
-            return lambda ii, jj: (
-                jaro_pairs(
-                    self.codes_l, self.len_l, self.codes_r, self.len_r,
-                    ii, jj, self.variant,
-                )
-                >= self.theta
-            )
-        if kind == "wink":
-            return lambda ii, jj: (
-                jaro_winkler_pairs(
-                    self.codes_l, self.len_l, self.codes_r, self.len_r,
-                    ii, jj, 0.1, self.variant,
-                )
-                >= self.theta
-            )
-        if kind == "sdx":
-            sl, sr = self._sdx_codes()
-            return lambda ii, jj: (sl[ii] == sr[jj]) & (sl[ii] != 0)
-        raise ValueError(f"unknown verifier kind {kind!r}")
-
     def run_candidates(
         self,
         method: str,
@@ -556,159 +850,57 @@ class VectorEngine:
             obs.meta.setdefault("k", self.k)
             obs.meta["n_left"] = len(self.left)
             obs.meta["n_right"] = len(self.right)
-        verifier = self._pair_verifier(spec.verifier)
-        result = JoinResult(
-            method, len(self.left), len(self.right), backend="vectorized"
-        )
-        compared = 0
+        tally = PairTally()
         with obs.span(f"run.{method}.candidates"):
             for ii, jj in blocks:
-                ii = np.asarray(ii, dtype=np.int64)
-                jj = np.asarray(jj, dtype=np.int64)
-                compared += len(ii)
-                ww = None if weighter is None else weighter.block(ii, jj)
-                obs.add_pairs(len(ii) if ww is None else int(ww.sum()))
-                for fname in spec.filters:
-                    tested = len(ii) if ww is None else int(ww.sum())
-                    mask = self._pair_filter_mask(fname, ii, jj)
-                    ii, jj = ii[mask], jj[mask]
-                    if ww is not None:
-                        ww = ww[mask]
-                    obs.add_stage(
-                        fname, tested, len(ii) if ww is None else int(ww.sum())
-                    )
-                surviving = len(ii) if ww is None else int(ww.sum())
-                obs.add_survivors(surviving)
-                if len(ii) == 0:
-                    continue
-                if verifier is None:
-                    dm = self._diag_mask(ii, jj)
-                    result.match_count += surviving
-                    result.diagonal_matches += (
-                        int(dm.sum()) if ww is None else int(ww[dm].sum())
-                    )
-                    if self.record_matches:
-                        result.matches.extend(zip(ii.tolist(), jj.tolist()))
-                    obs.add_matched(surviving)
-                    continue
-                result.verified_pairs += len(ii)
-                obs.add_verified(surviving)
-                for c0 in range(0, len(ii), self.chunk):
-                    bi = ii[c0 : c0 + self.chunk]
-                    bj = jj[c0 : c0 + self.chunk]
-                    bw = None if ww is None else ww[c0 : c0 + self.chunk]
-                    hits = verifier(bi, bj)
-                    dm = self._diag_mask(bi, bj)
-                    if bw is None:
-                        n_hits = int(hits.sum())
-                        result.diagonal_matches += int((hits & dm).sum())
-                    else:
-                        n_hits = int(bw[hits].sum())
-                        result.diagonal_matches += int(bw[hits & dm].sum())
-                    result.match_count += n_hits
-                    if self.record_matches:
-                        result.matches.extend(
-                            zip(bi[hits].tolist(), bj[hits].tolist())
-                        )
-                    obs.add_matched(n_hits)
-        result.pairs_compared = compared
-        return result
-
-    # -- soundex -----------------------------------------------------------------
-
-    def _sdx_codes(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._sdx_l is None:
-            table: dict[str, int] = {"": 0}  # empty code: id 0, never matches
-
-            def encode(values: list[str]) -> np.ndarray:
-                out = np.empty(len(values), dtype=np.int64)
-                for idx, v in enumerate(values):
-                    code = soundex(v)
-                    out[idx] = table.setdefault(code, len(table))
-                return out
-
-            self._sdx_l = encode(self.left)
-            self._sdx_r = encode(self.right)
-        return self._sdx_l, self._sdx_r
+                self.run_pairs(spec, ii, jj, tally, obs, weighter)
+        return tally.join_result(
+            method, len(self.left), len(self.right), "vectorized"
+        )
 
     # -- the 15 methods -------------------------------------------------------------
 
     def _run_dl(self) -> VJoinResult:
-        return self._full_product("DL", self._verify_dl)
+        return self._full_product("DL", "dl")
 
     def _run_pdl(self) -> VJoinResult:
-        return self._full_product("PDL", self._verify_pdl)
+        return self._full_product("PDL", "pdl")
 
     def _run_ham(self) -> VJoinResult:
-        # Per-pair state is a couple of bytes: the big filter chunk wins.
-        return self._full_product(
-            "Ham",
-            lambda ii, jj: hamming_pairs(
-                self.codes_l, self.len_l, self.codes_r, self.len_r, ii, jj
-            )
-            <= self.k,
-            chunk=self.filter_chunk,
-        )
+        return self._full_product("Ham", "ham")
 
     def _run_jaro(self) -> VJoinResult:
-        # Jaro's per-pair state (match flags + rank buffers) sits
-        # between the DP rows and the byte sweeps; 2x the DP chunk is
-        # its measured sweet spot.
-        return self._full_product(
-            "Jaro",
-            lambda ii, jj: jaro_pairs(
-                self.codes_l, self.len_l, self.codes_r, self.len_r, ii, jj,
-                self.variant,
-            )
-            >= self.theta,
-            chunk=self.chunk * 2,
-        )
+        return self._full_product("Jaro", "jaro")
 
     def _run_wink(self) -> VJoinResult:
-        return self._full_product(
-            "Wink",
-            lambda ii, jj: jaro_winkler_pairs(
-                self.codes_l, self.len_l, self.codes_r, self.len_r, ii, jj,
-                0.1, self.variant,
-            )
-            >= self.theta,
-            chunk=self.chunk * 2,
-        )
+        return self._full_product("Wink", "wink")
 
     def _run_sdx(self) -> VJoinResult:
-        sl, sr = self._sdx_codes()
-        return self._full_product(
-            "SDX",
-            lambda ii, jj: (sl[ii] == sr[jj]) & (sl[ii] != 0),
-            chunk=self.filter_chunk,
-        )
+        return self._full_product("SDX", "sdx")
 
     def _run_fbf(self) -> VJoinResult:
         return self._filtered("FBF", self._fbf_pairs(), None)
 
     def _run_fdl(self) -> VJoinResult:
-        return self._filtered("FDL", self._fbf_pairs(), self._verify_dl)
+        return self._filtered("FDL", self._fbf_pairs(), "dl")
 
     def _run_fpdl(self) -> VJoinResult:
-        return self._filtered("FPDL", self._fbf_pairs(), self._verify_pdl)
+        return self._filtered("FPDL", self._fbf_pairs(), "pdl")
 
     def _run_lf(self) -> VJoinResult:
         return self._filtered("LF", self._length_pairs(), None)
 
     def _run_ldl(self) -> VJoinResult:
-        return self._filtered("LDL", self._length_pairs(), self._verify_dl)
+        return self._filtered("LDL", self._length_pairs(), "dl")
 
     def _run_lpdl(self) -> VJoinResult:
-        return self._filtered("LPDL", self._length_pairs(), self._verify_pdl)
+        return self._filtered("LPDL", self._length_pairs(), "pdl")
 
     def _run_lfbf(self) -> VJoinResult:
         return self._filtered("LFBF", self._length_then_fbf_pairs(), None)
 
     def _run_lfdl(self) -> VJoinResult:
-        return self._filtered("LFDL", self._length_then_fbf_pairs(), self._verify_dl)
+        return self._filtered("LFDL", self._length_then_fbf_pairs(), "dl")
 
     def _run_lfpdl(self) -> VJoinResult:
-        return self._filtered(
-            "LFPDL", self._length_then_fbf_pairs(), self._verify_pdl
-        )
-
+        return self._filtered("LFPDL", self._length_then_fbf_pairs(), "pdl")

@@ -925,9 +925,10 @@ class MatchService:
         for si, out in zip(order, outs):
             shard = self._index.shards[si]
             idxs = plan[si][1]
-            if out["mi"]:
-                ii = np.concatenate(out["mi"])
-                jj = np.concatenate(out["mj"])
+            tally = out["tally"]
+            if tally.mi:
+                ii = np.concatenate(tally.mi)
+                jj = np.concatenate(tally.mj)
                 self._gather(ii, jj, shard, idxs, per_query)
         if self.metrics:
             shm.publish_pool_metrics(pool, self.metrics, self.events)

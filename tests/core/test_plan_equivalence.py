@@ -11,6 +11,9 @@ lengths; the alphabet mixes digits and letters so the auto-detected
 signature scheme exercises the alphanumeric combination path.
 """
 
+import random
+import string
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,7 +185,8 @@ class TestMultiprocessEquivalence:
     """Fixed-input equivalence for the multi-process plans: the hybrid
     backend over a two-worker pool, on inputs the hypothesis sweep of
     ``tests/parallel/test_shm_equivalence.py`` does not draw (SSN
-    families, heavy duplication with collapse forced on)."""
+    families, heavy duplication with collapse forced on, strings either
+    side of the 64-char bit-parallel word)."""
 
     @pytest.fixture(scope="class")
     def ssn_pair(self):
@@ -240,3 +244,44 @@ class TestMultiprocessEquivalence:
         assert sorted(par.matches) == sorted(ref.matches)
         assert par.match_count == ref.match_count
         assert par.diagonal_matches == ref.diagonal_matches
+
+    @pytest.mark.parametrize("method", ["DL", "FPDL", "LFPDL"])
+    def test_word_boundary_lengths_match_reference(self, method):
+        # Pure-alpha strings of 63, 64 and 65 chars, each with a
+        # single-edit twin (substitution, adjacent transposition,
+        # deletion or insertion), so verification crosses from the
+        # one-word bit-parallel kernel into the banded DP.
+        rng = random.Random(64)
+        left, right = [], []
+        for length in (63, 64, 65):
+            for edit in range(4):
+                s = "".join(rng.choice(string.ascii_uppercase) for _ in range(length))
+                p = rng.randrange(1, length - 1)
+                if edit == 0:
+                    twin = s[:p] + ("A" if s[p] != "A" else "B") + s[p + 1 :]
+                elif edit == 1:
+                    twin = s[: p - 1] + s[p] + s[p - 1] + s[p + 1 :]
+                elif edit == 2:
+                    twin = s[:p] + s[p + 1 :]
+                else:
+                    twin = s[:p] + "Z" + s[p:]
+                left.append(s)
+                right.append(twin)
+        ref = JoinPlanner(left, right, k=1, record_matches=True).run(
+            method, generator="all-pairs", backend="scalar"
+        )
+        assert ref.diagonal_matches == len(left)
+        backends = ("vectorized", "hybrid") + (
+            ("native",) if native.available() else ()
+        )
+        for generator in ("all-pairs", "pass-join"):
+            for backend in backends:
+                c = StatsCollector(f"{generator}/{backend}")
+                r = JoinPlanner(
+                    left, right, k=1, workers=2, record_matches=True
+                ).run(method, generator=generator, backend=backend, collector=c)
+                assert sorted(r.matches) == sorted(ref.matches), (
+                    f"{method} under {generator}/{backend} diverged"
+                )
+                assert r.diagonal_matches == ref.diagonal_matches
+                assert c.conserved

@@ -18,6 +18,7 @@ from repro.core.vectorized import (
     fbf_candidates,
     length_candidates,
     num_signatures_batch,
+    pack_signatures,
     pairwise_diff_bits,
     signatures_for_scheme,
 )
@@ -94,6 +95,29 @@ class TestPairwiseDiffBits:
             pairwise_diff_bits(
                 np.zeros((2, 1), dtype=np.uint32), np.zeros((2, 2), dtype=np.uint32)
             )
+
+    @given(mixed_strings, mixed_strings)
+    def test_packed_u64_matches_u32(self, left, right):
+        # Packing three uint32 words (plus a zero pad) into two uint64
+        # words keeps every diff-bit count; a uint32 cast would truncate
+        # the high word of each packed pair.
+        L = alnum_signatures_batch(left, 2)
+        R = alnum_signatures_batch(right, 2)
+        PL, PR = pack_signatures(L), pack_signatures(R)
+        assert PL.dtype == np.uint64 and PL.shape == (len(left), 2)
+        want = pairwise_diff_bits(L, R)
+        assert np.array_equal(pairwise_diff_bits(PL, PR), want)
+        ii, jj = fbf_candidates(PL, PR, 4, chunk_rows=3)
+        wi, wj = np.nonzero(want <= 4)
+        assert np.array_equal(ii, wi) and np.array_equal(jj, wj)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.float64])
+    def test_rejects_other_word_types(self, dtype):
+        sigs = np.zeros((2, 1), dtype=dtype)
+        with pytest.raises(TypeError):
+            pairwise_diff_bits(sigs, sigs)
+        with pytest.raises(TypeError):
+            fbf_candidates(sigs, sigs, 2)
 
     def test_multiword(self):
         left = ["123 OAK", "99 ELM"]

@@ -21,6 +21,7 @@ from repro import native
 from repro.core.plan import BACKEND_NAMES, JoinPlanner
 from repro.core.popcount import popcount_batch_u32, popcount_batch_u64
 from repro.core.vectorized import fbf_candidates as np_fbf_candidates
+from repro.core.vectorized import pack_signatures
 from repro.distance.codec import encode_raw
 from repro.distance.damerau import damerau_levenshtein
 from repro.distance.pruned import pdl
@@ -90,7 +91,7 @@ class TestSignatureKernels:
         ks = native.load_kernels()
         for bound in (0, 30, 70):
             ri, rj = np.nonzero(db <= bound)
-            gi, gj = ks.fbf_candidates_u64(L, R, bound)
+            gi, gj = ks.fbf_candidates(L, R, bound)
             assert np.array_equal(gi, ri.astype(np.int64))
             assert np.array_equal(gj, rj.astype(np.int64))
 
@@ -107,13 +108,21 @@ class TestSignatureKernels:
         got = ks.sig_pair_mask(L32, R32, ii, jj, 30)
         assert got.dtype == bool
         assert np.array_equal(got, db <= 30)
-        L64 = L32.astype(np.uint64)
-        R64 = R32.astype(np.uint64)
-        db64 = np.zeros(120, dtype=np.int64)
-        for w in range(3):
-            db64 += popcount_batch_u64(L64[ii, w] ^ R64[jj, w])
-        got64 = ks.sig_pair_mask_u64(L64, R64, ii, jj, 30)
-        assert np.array_equal(got64, db64 <= 30)
+        # uint32 words are widened losslessly; packing them into uint64
+        # words (the pair stage's layout) keeps every pair's diff bits.
+        got64 = ks.sig_pair_mask(
+            pack_signatures(L32), pack_signatures(R32), ii, jj, 30
+        )
+        assert np.array_equal(got64, db <= 30)
+
+    def test_rejects_other_word_types(self):
+        ks = native.load_kernels()
+        sigs = np.zeros((3, 1), dtype=np.int64)
+        idx = np.arange(3, dtype=np.int64)
+        with pytest.raises(TypeError):
+            ks.fbf_candidates(sigs, sigs, 2)
+        with pytest.raises(TypeError):
+            ks.sig_pair_mask(sigs, sigs, idx, idx, 2)
 
     def test_1d_signature_vectors_accepted(self):
         rng = np.random.default_rng(14)

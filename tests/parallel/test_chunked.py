@@ -20,7 +20,7 @@ def ln_pair():
     return dataset_for_family("LN", 60, seed=5)
 
 
-class TestChunkedJoinEquivalence:
+class TestVectorEngineEquivalence:
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_matches_scalar_on_names(self, ln_pair, method):
         join = VectorEngine(ln_pair.clean, ln_pair.error, k=1, theta=0.8,
@@ -78,7 +78,7 @@ class TestChunkedJoinEquivalence:
             ), method
 
 
-class TestChunkedJoinBehaviour:
+class TestVectorEngineBehaviour:
     def test_record_matches(self):
         join = VectorEngine(["AB", "XY"], ["AB", "AC"], k=1, record_matches=True)
         res = join.run("DL")

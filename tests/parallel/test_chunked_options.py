@@ -32,8 +32,10 @@ class TestSchemeOptions:
     def test_levels_parameter(self, ad_pair):
         j1 = VectorEngine(ad_pair.clean, ad_pair.error, k=1, scheme_kind="alnum", levels=1)
         j3 = VectorEngine(ad_pair.clean, ad_pair.error, k=1, scheme_kind="alnum", levels=3)
-        assert j1.sigs_l.shape[1] == 2  # 1 alpha word + 1 numeric
-        assert j3.sigs_l.shape[1] == 4
+        # Packed uint64 words: 1 alpha + 1 numeric uint32 word pack into
+        # one, 3 alpha + 1 numeric into two.
+        assert j1.sigs_l.shape[1] == 1
+        assert j3.sigs_l.shape[1] == 2
         # Deeper signatures pass fewer or equal candidates.
         assert j3.run("FBF").match_count <= j1.run("FBF").match_count
         # Verified results identical regardless.

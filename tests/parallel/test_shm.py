@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.signatures import scheme_for
-from repro.core.vectorized import signatures_for_scheme
+from repro.core.vectorized import pack_signatures, signatures_for_scheme
 from repro.distance.codec import encode_raw
 from repro.parallel.shm import (
     SharedDatasets,
@@ -24,7 +24,6 @@ from repro.parallel.shm import (
     _resolve_ref,
     close_shared_pools,
     inline_side,
-    pack_signatures,
     shared_pool,
 )
 
