@@ -7,12 +7,17 @@ population.  :class:`FBFIndex` serves that shape: index a dataset once
 
 1. **length pruning** — only buckets with ``abs(len - len(query)) <= k``
    are touched at all (Algorithm 3, at bucket granularity);
-2. **FBF filtering** — one vectorized XOR+popcount sweep over each
-   surviving bucket's signature matrix, keeping
+2. **FBF filtering** — one XOR+popcount sweep over each surviving
+   bucket's packed uint64 signature matrix, keeping
    ``diff_bits <= 2k + slack``;
-3. **verification** — banded OSA (the paper's PDL semantics) over the
+3. **verification** — bounded OSA (the paper's PDL semantics) over the
    few survivors, or Myers' bit-parallel Levenshtein for
    transposition-less workloads.
+
+The scan and the OSA verify run through the kernel set
+``resolve_kernels("auto")`` returns (:mod:`repro.native`): the compiled
+``cc`` provider when it loads, its NumPy fallback otherwise, with
+identical answers either way.
 
 Both filter stages are *safe* (never drop a true match; property-tested
 in ``tests/core/test_index.py``), so ``search`` returns exactly the
@@ -28,25 +33,29 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.popcount import popcount_batch_u32
 from repro.core.signatures import SignatureScheme, detect_kind, scheme_for
-from repro.core.vectorized import signatures_for_scheme
+from repro.core.vectorized import pack_signatures, signatures_for_scheme
 from repro.distance.base import validate_threshold
-from repro.obs.stats import NULL_COLLECTOR
-from repro.distance.bitparallel import osa_bitparallel_batch
 from repro.distance.codec import encode_raw
 from repro.distance.myers import MAX_PATTERN, myers_batch
-from repro.distance.vectorized import osa_within_k_pairs
+from repro.distance.vectorized import levenshtein_pairs
+from repro.native import MODE_PDL, resolve_kernels
+from repro.obs.stats import NULL_COLLECTOR
 
 __all__ = ["FBFIndex"]
 
 
 class _Bucket:
-    """All indexed strings of one length: packed arrays + pending adds."""
+    """All indexed strings of one length: packed arrays + pending adds.
+
+    ``sigs`` holds the signatures packed into uint64 words
+    (:func:`repro.core.vectorized.pack_signatures`), the format the
+    kernel scan reads.
+    """
 
     def __init__(self, width: int):
         self.ids: np.ndarray = np.empty(0, dtype=np.int64)
-        self.sigs: np.ndarray = np.empty((0, width), dtype=np.uint32)
+        self.sigs = pack_signatures(np.empty((0, width), dtype=np.uint32))
         self.codes: np.ndarray = np.empty((0, 0), dtype=np.uint8)
         self.pending: list[int] = []
 
@@ -66,11 +75,11 @@ class FBFIndex:
         (re-detection never happens after construction, so feed a
         representative initial batch or name the kind explicitly).
     verifier:
-        ``"osa"`` (default: the paper's edit distance via the banded
-        DP), ``"osa-bitparallel"`` (same metric, Hyyrö-style one-word
-        bit-state — typically the fastest exact option for patterns up
-        to 64 chars), or ``"myers"`` (bit-parallel Levenshtein; fastest,
-        but transpositions count 2 — strictly fewer matches).
+        ``"osa"`` (default: the paper's edit distance) or
+        ``"osa-bitparallel"`` — the same metric, both verified by the
+        kernel set's bounded OSA (bit-parallel up to 64 chars, banded
+        DP beyond) — or ``"myers"`` (bit-parallel Levenshtein;
+        transpositions count 2 — strictly fewer matches).
     """
 
     VERIFIERS = ("osa", "osa-bitparallel", "myers")
@@ -169,9 +178,7 @@ class FBFIndex:
         if not bucket.pending:
             return
         new_strings = [self._strings[sid] for sid in bucket.pending]
-        new_sigs = signatures_for_scheme(new_strings, self.scheme)
-        if new_sigs.ndim == 1:
-            new_sigs = new_sigs[:, None]
+        new_sigs = pack_signatures(signatures_for_scheme(new_strings, self.scheme))
         new_codes, _ = encode_raw(new_strings)
         width = max(bucket.codes.shape[1], new_codes.shape[1])
 
@@ -185,7 +192,7 @@ class FBFIndex:
         bucket.ids = np.concatenate(
             [bucket.ids, np.asarray(bucket.pending, dtype=np.int64)]
         )
-        bucket.sigs = np.concatenate([bucket.sigs, new_sigs.astype(np.uint32)])
+        bucket.sigs = np.concatenate([bucket.sigs, new_sigs])
         bucket.codes = np.concatenate([pad(bucket.codes), pad(new_codes)])
         bucket.pending.clear()
 
@@ -228,26 +235,36 @@ class FBFIndex:
             obs.add_stage("length", n, 0)
             obs.add_stage("fbf", 0, 0)
             return []
-        qsig = np.asarray(self.scheme.signature(query), dtype=np.uint32)
+        kernels = resolve_kernels("auto")
+        qsig = pack_signatures(
+            np.asarray(self.scheme.signature(query), dtype=np.uint32)[None, :]
+        )
+        qcodes = qlen = None  # encoded once, when a candidate survives
         bound = self.scheme.safe_threshold(k)
         window = 0
         survivors = 0
         matched = 0
         hits: list[np.ndarray] = []
-        for length in range(max(1, len(query) - k), len(query) + k + 1):
-            bucket = self._buckets.get(length)
-            if bucket is None or len(bucket) == 0:
-                continue
-            self._pack(bucket)
+        for length, bucket in self._window(len(query), k, shortest=1):
             window += len(bucket.ids)
-            db = np.zeros(len(bucket.ids), dtype=np.uint16)
-            for w in range(self.scheme.width):
-                db += popcount_batch_u32(bucket.sigs[:, w] ^ qsig[w])
-            cand = np.nonzero(db <= bound)[0]
+            _, cand = kernels.fbf_candidates(qsig, bucket.sigs, bound)
             survivors += int(cand.size)
             if cand.size == 0:
                 continue
-            ok = self._verify(query, bucket, cand, k, verifier)
+            if qcodes is None:
+                qcodes, qlen = encode_raw([query])
+            lengths = np.full(len(bucket.ids), length, dtype=np.int64)
+            ii = np.zeros(len(cand), dtype=np.int64)
+            if verifier != "myers":
+                ok = kernels.osa_decisions(
+                    qcodes, qlen, bucket.codes, lengths, ii, cand, k, mode=MODE_PDL
+                )
+            elif len(query) <= MAX_PATTERN:
+                ok = myers_batch(query, bucket.codes[cand], lengths[cand]) <= k
+            else:
+                ok = levenshtein_pairs(
+                    qcodes, qlen, bucket.codes, lengths, ii, cand
+                ) <= k
             found = bucket.ids[cand[ok]]
             matched += len(found)
             hits.append(found)
@@ -261,6 +278,15 @@ class FBFIndex:
         out = np.concatenate(hits)
         out.sort()
         return out.tolist()
+
+    def _window(self, qlen: int, k: int, *, shortest: int = 0):
+        """Yield ``(length, bucket)`` for every non-empty bucket within
+        ``k`` of ``qlen`` (lengths below ``shortest`` skipped), packed."""
+        for length in range(max(shortest, qlen - k), qlen + k + 1):
+            bucket = self._buckets.get(length)
+            if bucket is not None and len(bucket):
+                self._pack(bucket)
+                yield length, bucket
 
     def candidate_blocks(
         self,
@@ -285,7 +311,7 @@ class FBFIndex:
         generator must not pre-empt it.
 
         ``max_pairs`` caps the query-rows × bucket-size product of one
-        dense XOR sweep; larger groups are split by query rows.
+        signature scan; larger groups are split by query rows.
         """
         validate_threshold(k)
         obs = collector if collector else NULL_COLLECTOR
@@ -296,66 +322,30 @@ class FBFIndex:
             obs.add_stage("length", product, 0)
             obs.add_stage("fbf", 0, 0)
             return
+        kernels = resolve_kernels("auto")
         by_len: dict[int, list[int]] = defaultdict(list)
         for qi, q in enumerate(queries):
             by_len[len(q)].append(qi)
-        qsigs = signatures_for_scheme(list(queries), self.scheme)
-        if qsigs.ndim == 1:
-            qsigs = qsigs[:, None]
-        qsigs = qsigs.astype(np.uint32)
+        qsigs = pack_signatures(signatures_for_scheme(list(queries), self.scheme))
         bound = self.scheme.safe_threshold(k)
         window = 0
         emitted = 0
         for qlen in sorted(by_len):
             q_idx = np.asarray(by_len[qlen], dtype=np.int64)
-            for length in range(max(0, qlen - k), qlen + k + 1):
-                bucket = self._buckets.get(length)
-                if bucket is None or len(bucket) == 0:
-                    continue
-                self._pack(bucket)
+            for _, bucket in self._window(qlen, k):
                 m = len(bucket.ids)
                 window += len(q_idx) * m
                 rows = max(1, max_pairs // m)
                 for r0 in range(0, len(q_idx), rows):
                     qchunk = q_idx[r0 : r0 + rows]
-                    db = np.zeros((len(qchunk), m), dtype=np.uint16)
-                    for w in range(self.scheme.width):
-                        db += popcount_batch_u32(
-                            qsigs[qchunk, w][:, None] ^ bucket.sigs[None, :, w]
-                        )
-                    qi2, bi2 = np.nonzero(db <= bound)
+                    qi2, bi2 = kernels.fbf_candidates(
+                        qsigs[qchunk], bucket.sigs, bound
+                    )
                     if len(qi2):
                         emitted += len(qi2)
                         yield qchunk[qi2], bucket.ids[bi2]
         obs.add_stage("length", product, window)
         obs.add_stage("fbf", window, emitted)
-
-    def _verify(
-        self,
-        query: str,
-        bucket: _Bucket,
-        cand: np.ndarray,
-        k: int,
-        verifier: str | None = None,
-    ) -> np.ndarray:
-        if verifier is None:
-            verifier = self.verifier
-        # All strings in a bucket share one length; recover it from the
-        # strings rather than trusting the padded matrix width.
-        real_len = len(self._strings[int(bucket.ids[0])])
-        lengths = np.full(len(bucket.ids), real_len, dtype=np.int64)
-        fits_word = 0 < len(query) <= MAX_PATTERN
-        if verifier == "myers" and fits_word:
-            dists = myers_batch(query, bucket.codes[cand], lengths[cand])
-            return dists <= k
-        if verifier == "osa-bitparallel" and fits_word:
-            dists = osa_bitparallel_batch(query, bucket.codes[cand], lengths[cand])
-            return dists <= k
-        qcodes, qlen = encode_raw([query])
-        ii = np.zeros(len(cand), dtype=np.int64)
-        return osa_within_k_pairs(
-            qcodes, qlen, bucket.codes, lengths, ii, cand, k
-        )
 
     def search_strings(self, query: str, k: int = 1) -> list[str]:
         """Like :meth:`search` but returning the matched strings."""
@@ -367,15 +357,20 @@ class FBFIndex:
         """Yield every bucket's packed state: ``(length, ids, sigs, codes)``.
 
         Packs pending adds first, so the yielded arrays cover the whole
-        index.  The arrays are the live internals (not copies) — callers
-        persisting them (the serve layer's snapshots) must not mutate
-        them.  Empty buckets are skipped.
+        index.  ``sigs`` is the scheme's own ``(n, width)`` uint32
+        signature matrix — a view of the packed uint64 words — so the
+        exchange format does not depend on the word packing.  The
+        arrays are the live internals (not copies) — callers persisting
+        them (the serve layer's snapshots) must not mutate them.  Empty
+        buckets are skipped.
         """
         self.pack()
+        width = self.scheme.width
         for length in sorted(self._buckets):
             bucket = self._buckets[length]
             if len(bucket.ids):
-                yield length, bucket.ids, bucket.sigs, bucket.codes
+                sigs = bucket.sigs.view(np.uint32)[:, :width]
+                yield length, bucket.ids, sigs, bucket.codes
 
     @classmethod
     def from_packed(
@@ -400,14 +395,15 @@ class FBFIndex:
         for length, ids, sigs, codes in buckets:
             bucket = index._buckets[int(length)]
             bucket.ids = np.asarray(ids, dtype=np.int64)
-            bucket.sigs = np.asarray(sigs, dtype=np.uint32)
+            sigs = np.asarray(sigs, dtype=np.uint32)
             bucket.codes = np.asarray(codes, dtype=np.uint8)
-            if bucket.sigs.shape != (len(bucket.ids), index.scheme.width):
+            if sigs.shape != (len(bucket.ids), index.scheme.width):
                 raise ValueError(
                     f"bucket {length}: signature matrix shape "
-                    f"{bucket.sigs.shape} does not fit {len(bucket.ids)} "
+                    f"{sigs.shape} does not fit {len(bucket.ids)} "
                     f"ids under scheme {index.scheme.name!r}"
                 )
+            bucket.sigs = pack_signatures(sigs)
             covered += len(bucket.ids)
         if covered != len(index._strings):
             raise ValueError(

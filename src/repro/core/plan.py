@@ -553,35 +553,29 @@ class NativeBackend(VectorizedBackend):
 
     Identical dataflow, chunking and funnel accounting to
     :class:`VectorizedBackend` — the planner's cached engine is
-    temporarily armed with the :mod:`repro.native` kernel set (the
-    ctypes-loaded ``cc`` provider), which swaps only the
+    temporarily armed with the kernel set ``resolve_kernels("native")``
+    returns (the ctypes-loaded ``cc`` provider), which swaps only the
     innermost loops: the fused XOR+popcount candidate scan and the
     batched bit-parallel/banded OSA verifier.  Decisions are
     bit-identical by construction (providers must pass the native
-    self-check) and pinned by the plan-equivalence suite.  When no
-    provider is available the run degrades to the plain vectorized
-    tier with a once-per-process warning.
+    self-check) and pinned by the plan-equivalence suite.  When the
+    compiled provider is unavailable the run uses the NumPy provider
+    after a once-per-process warning.
     """
 
     name = "native"
 
     def run(self, planner, method, blocks, *, collector, record_matches):
-        kernels = resolve_kernels("native", warn_key="backend")
-        if kernels is None:
-            return planner._backends["vectorized"].run(
-                planner, method, blocks,
-                collector=collector, record_matches=record_matches,
-            )
         engine = planner.engine()
-        prev = engine._native
-        engine._native = kernels
+        prev = engine.kernels
+        engine.kernels = resolve_kernels("native", warn_key="backend")
         try:
             return super().run(
                 planner, method, blocks,
                 collector=collector, record_matches=record_matches,
             )
         finally:
-            engine._native = prev
+            engine.kernels = prev
 
 
 class HybridBackend(ExecutionBackend):

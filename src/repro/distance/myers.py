@@ -16,8 +16,8 @@ Provided here:
 * :func:`myers_batch` — one pattern against a whole encoded dataset at
   once, with the bit-vectors held in NumPy ``uint64`` arrays: the
   column loop is per *target character position*, vectorized across all
-  targets.  This is the engine behind
-  :meth:`repro.core.index.FBFIndex.search`'s verify stage.
+  targets.  This is the engine behind the ``"myers"`` verifier of
+  :meth:`repro.core.index.FBFIndex.search` for patterns up to 64 chars.
 
 Note: Myers computes plain Levenshtein (no transposition credit), so it
 is *not* a drop-in replacement for the paper's DL — a transposition

@@ -1,28 +1,31 @@
-"""Compiled kernel tier: hot kernels in C behind the backend protocol.
+"""Kernel tier: one ``KernelSet`` API over a compiled and a NumPy provider.
 
 The paper's constant factors come from signatures living in machine
 words — one XOR + POPCNT per pair — and from the verifier being a tight
-band of word operations.  The NumPy tier restores those constants *per
-batch* but still pays intermediate-array traffic on the candidate
-matrix and per-pair Python dispatch in the bit-parallel verifier.  This
-package closes that gap with three compiled kernels:
+band of word operations.  Every pair-stage call site (the
+:class:`repro.parallel.chunked.PairStage` filters and verifier, the
+:class:`repro.core.index.FBFIndex` bucket scan and verify) reaches these
+primitives through one :class:`KernelSet`:
 
-1. a fused XOR+popcount+threshold candidate scan (no
-   ``(chunk, n_right, width)`` intermediates),
-2. a batched bounded-OSA verifier (bit-parallel Hyyro recurrence for
-   patterns up to 64 chars, mirroring ``distance/bitparallel.py``),
-3. a banded-DP kernel for longer strings, mirroring
-   ``distance/pruned.py::_banded_osa``.
+1. a fused XOR+popcount+threshold candidate scan (``fbf_candidates``),
+2. a gathered per-pair signature filter (``sig_pair_mask``),
+3. a batched bounded-OSA verifier (``osa_decisions``; bit-parallel up
+   to 64 chars, banded DP beyond),
+4. the dense length+FBF row sweep with funnel counts
+   (``fused_rows_u64``).
 
-One provider implements them: ``cc``, a C translation unit compiled on
-first use with the host's C compiler and loaded via ctypes
-(content-addressed on-disk cache, see :mod:`repro.native._csrc`).  It
+Two providers implement them.  ``cc`` is a C translation unit compiled
+on first use with the host's C compiler and loaded via ctypes
+(content-addressed on-disk cache, see :mod:`repro.native._csrc`); it
 must pass a bit-exactness self-check against the scalar references
-before it is offered; a provider that fails validation is treated as
-absent.  When it does not load, callers fall back to the NumPy tier —
-``resolve_kernels("native")`` warns once instead of raising, so
+before it is offered, and a provider that fails validation is treated
+as absent.  ``numpy`` (:mod:`repro.native._numpy`) is the array-code
+fallback, always available.  :func:`resolve_kernels` always returns a
+KernelSet: ``"auto"`` gives ``cc`` when it loaded and ``numpy``
+otherwise, and ``"native"`` warns once before falling back, so
 ``backend="native"`` degrades gracefully on machines without a C
-compiler.
+compiler.  :func:`load_kernels`, :func:`available`, :func:`kind` and
+:func:`native_status` report on the compiled provider only.
 
 Environment knobs:
 
@@ -87,12 +90,13 @@ def _idx(arr: np.ndarray) -> np.ndarray:
 
 
 class KernelSet:
-    """The compiled kernels of one provider, at NumPy call level.
+    """The kernels of one provider (``"cc"`` or ``"numpy"``), at NumPy
+    call level.
 
     Instances are cheap handles; the heavy state (the loaded shared
-    library) lives in the provider module.  Methods
-    coerce inputs to the layouts the kernels require and return plain
-    NumPy arrays, bit-identical to the NumPy-tier equivalents.
+    library) lives in the provider module.  Methods coerce inputs to
+    the layouts the kernels require and return plain NumPy arrays,
+    bit-identical across providers.
     """
 
     __slots__ = ("kind", "_p")
@@ -109,8 +113,8 @@ class KernelSet:
     def fbf_candidates(
         self, left_sigs: np.ndarray, right_sigs: np.ndarray, bound: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Fused scan over packed uint64 signature matrices; row-major
-        order identical to ``core/vectorized.py::fbf_candidates``."""
+        """Index pairs with ``diff_bits <= bound``, in row-major order
+        (identical to ``core/vectorized.py::fbf_candidates``)."""
         L = _sig2d(left_sigs)
         R = _sig2d(right_sigs)
         if L.shape[1] != R.shape[1]:
@@ -161,11 +165,6 @@ class KernelSet:
 
     # -- hybrid dense sweep --------------------------------------------
 
-    @staticmethod
-    def supports_filters(filters) -> bool:
-        """Whether :meth:`fused_rows_u64` covers this filter chain."""
-        return all(f in _FILTER_CODES for f in filters)
-
     def fused_rows_u64(
         self,
         left_sigs: np.ndarray,
@@ -198,6 +197,8 @@ class KernelSet:
 #: the cached probe: ``(kernels or None, human-readable outcome)``,
 #: empty until first probed
 _PROBE: list[tuple[KernelSet | None, str]] = []
+#: the NumPy provider, built on first use
+_NUMPY: list[KernelSet] = []
 #: fallback warnings already emitted (keyed by kind and call site)
 _WARNED: set[str] = set()
 
@@ -257,43 +258,54 @@ def load_kernels() -> KernelSet | None:
     return _load_provider()
 
 
+def _numpy_kernels() -> KernelSet:
+    if not _NUMPY:
+        from repro.native import _numpy
+
+        _NUMPY.append(KernelSet("numpy", _numpy.load()))
+    return _NUMPY[0]
+
+
 def resolve_kernels(
     request: str | None, *, warn_key: str = "backend"
-) -> KernelSet | None:
-    """Resolve a kernel request string to a :class:`KernelSet` or ``None``.
+) -> KernelSet:
+    """Resolve a kernel request string to a :class:`KernelSet`.
 
     ``request`` semantics:
 
-    * ``None``/``"numpy"`` — never use compiled kernels.
-    * ``"auto"`` — compiled kernels if available, silently otherwise.
-    * ``"native"`` — compiled kernels expected: when unavailable (or
-      disabled via ``REPRO_NO_NATIVE``), warn once and fall back.
+    * ``None``/``"numpy"`` — the NumPy provider.
+    * ``"auto"`` — the compiled provider if available, else NumPy,
+      silently.
+    * ``"native"`` — the compiled provider expected: when unavailable
+      (or disabled via ``REPRO_NO_NATIVE``), warn once and fall back to
+      NumPy.
     """
     if request is None or request == "numpy":
-        return None
+        return _numpy_kernels()
     if request not in ("auto", "native"):
         raise ValueError(
             f"unknown kernels request {request!r}; expected 'numpy', "
             f"'auto' or 'native'"
         )
-    if _disabled():
-        if request != "auto":
+    ks = load_kernels()
+    if ks is not None:
+        return ks
+    if request == "native":
+        if _disabled():
             _warn_once(
                 f"native-disabled:{warn_key}",
                 "compiled kernels disabled by REPRO_NO_NATIVE=1; "
                 "falling back to the NumPy (vectorized) path",
             )
-        return None
-    ks = load_kernels()
-    if ks is None and request != "auto":
-        _warn_once(
-            f"native-unavailable:{warn_key}",
-            f"compiled kernels requested but the {_PROVIDER} provider did "
-            f"not load ({_reason()}); falling back to the NumPy "
-            "(vectorized) path — the compiled tier needs a C compiler "
-            "on PATH (or named by $CC)",
-        )
-    return ks
+        else:
+            _warn_once(
+                f"native-unavailable:{warn_key}",
+                f"compiled kernels requested but the {_PROVIDER} provider "
+                f"did not load ({_reason()}); falling back to the NumPy "
+                "(vectorized) path — the compiled tier needs a C compiler "
+                "on PATH (or named by $CC)",
+            )
+    return _numpy_kernels()
 
 
 def available() -> bool:

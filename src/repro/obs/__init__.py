@@ -55,9 +55,6 @@ from repro.obs.trace import (
     NULL_SPAN,
     SpanStat,
     Tracer,
-    current_tracer,
-    trace,
-    use_tracer,
 )
 
 __all__ = [
@@ -80,13 +77,10 @@ __all__ = [
     "StatsCollector",
     "Tracer",
     "configure_logging",
-    "current_tracer",
     "get_logger",
     "log_buckets",
     "registry_from_collector",
     "render_funnel",
     "stats_dict",
-    "trace",
-    "use_tracer",
     "write_stats_json",
 ]

@@ -9,9 +9,8 @@ nanoseconds into one :class:`SpanStat`.
 
 Design constraints, in order:
 
-1. **Zero overhead when off.**  The module-level :func:`trace` helper
-   returns a shared no-op context manager when no tracer is active —
-   one global load and one ``is None`` test per call, no allocation.
+1. **Zero overhead when off.**  A disabled collector hands out the
+   shared no-op :data:`NULL_SPAN` — no allocation per call.
 2. **Cheap when on.**  A span entry/exit is two ``perf_counter_ns``
    calls, one list push/pop and one dict upsert; no objects are
    retained per call, only per distinct path.
@@ -23,9 +22,7 @@ Usage::
 
     tracer = Tracer()
     with tracer.span("fbf.filter"):
-        ...
-    with use_tracer(tracer):          # route module-level trace() calls
-        with trace("verify"):
+        with tracer.span("verify"):
             ...
     tracer.spans                       # {"fbf.filter": SpanStat(...), ...}
 
@@ -56,21 +53,16 @@ runs where true per-call samples beat bucketed ones.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import ceil
 from random import Random
 from time import perf_counter_ns
-from typing import Iterator
 from zlib import crc32
 
 __all__ = [
     "SpanStat",
     "Tracer",
     "NULL_SPAN",
-    "trace",
-    "use_tracer",
-    "current_tracer",
     "SAMPLE_WINDOW",
 ]
 
@@ -211,7 +203,7 @@ class _Span:
 
 
 class _NullSpan:
-    """Reusable do-nothing context manager (the inactive-tracer path)."""
+    """Reusable do-nothing context manager (the tracing-off path)."""
 
     __slots__ = ()
 
@@ -258,29 +250,3 @@ class Tracer:
             for path, s in self.spans.items()
         }
 
-
-#: the tracer module-level :func:`trace` routes to (None = tracing off)
-_active: Tracer | None = None
-
-
-def current_tracer() -> Tracer | None:
-    """The tracer :func:`trace` currently records into, if any."""
-    return _active
-
-
-def trace(name: str):
-    """Span against the active tracer; free no-op when none is active."""
-    tracer = _active
-    return tracer.span(name) if tracer is not None else NULL_SPAN
-
-
-@contextmanager
-def use_tracer(tracer: Tracer) -> Iterator[Tracer]:
-    """Make ``tracer`` the active target of :func:`trace` in this block."""
-    global _active
-    previous = _active
-    _active = tracer
-    try:
-        yield tracer
-    finally:
-        _active = previous

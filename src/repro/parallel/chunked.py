@@ -44,10 +44,8 @@ import numpy as np
 
 from repro.core.join import JoinResult
 from repro.core.matchers import MethodSpec, method_registry
-from repro.core.popcount import popcount_batch_u64
 from repro.core.signatures import SignatureScheme, detect_kind, scheme_for
 from repro.core.vectorized import (
-    fbf_candidates,
     pack_signatures,
     signatures_for_scheme,
     value_identity_codes,
@@ -55,13 +53,7 @@ from repro.core.vectorized import (
 from repro.distance.codec import encode_raw
 from repro.distance.soundex import soundex
 from repro.native import MODE_DL, MODE_PDL, KernelSet, resolve_kernels
-from repro.distance.vectorized import (
-    hamming_pairs,
-    jaro_pairs,
-    jaro_winkler_pairs,
-    osa_pairs,
-    osa_within_k_pairs,
-)
+from repro.distance.vectorized import hamming_pairs, jaro_pairs, jaro_winkler_pairs
 from repro.obs.log import get_logger
 from repro.obs.stats import NULL_COLLECTOR
 from repro.parallel.partition import iter_pair_blocks
@@ -199,9 +191,10 @@ class PairStage:
     by :func:`encode_side`.  ``sdx`` and ``vid`` are optional
     ``(left, right)`` pairs of Soundex ids (:func:`soundex_ids`) and
     value-identity codes (self-join diagonals); a method that needs
-    missing ones raises.  ``native`` is a :class:`repro.native.KernelSet`
-    or ``None`` for the NumPy tier — every choice gives bit-identical
-    decisions.
+    missing ones raises.  ``kernels`` is the :class:`repro.native.KernelSet`
+    that runs the signature filters, the dense row sweep and the OSA
+    verifier — the compiled ``cc`` provider or its NumPy fallback, with
+    bit-identical decisions either way.
 
     Funnel accounting is the scalar driver's: per-block sums merge to
     the same counters however the pairs were split into blocks, rows or
@@ -221,7 +214,7 @@ class PairStage:
         filter_chunk: int = _FILTER_CHUNK,
         self_join: bool = False,
         record_matches: bool = False,
-        native: KernelSet | None = None,
+        kernels: KernelSet,
         sdx: tuple | None = None,
         vid: tuple | None = None,
     ):
@@ -235,7 +228,7 @@ class PairStage:
         self.filter_chunk = max(chunk, filter_chunk)
         self.self_join = self_join
         self.record_matches = record_matches
-        self._native = native
+        self.kernels = kernels
         self._sdx_l, self._sdx_r = sdx or (None, None)
         self._vid_l, self._vid_r = vid or (None, None)
 
@@ -271,16 +264,10 @@ class PairStage:
         if kind is None:
             return None
         cl, ll, cr, lr, k = self.codes_l, self.len_l, self.codes_r, self.len_r, self.k
-        native = self._native
         if kind in ("dl", "pdl"):
-            if native is not None:
-                mode = MODE_DL if kind == "dl" else MODE_PDL
-                return lambda ii, jj: native.osa_decisions(
-                    cl, ll, cr, lr, ii, jj, k, mode=mode
-                )
-            if kind == "dl":
-                return lambda ii, jj: osa_pairs(cl, ll, cr, lr, ii, jj) <= k
-            return lambda ii, jj: osa_within_k_pairs(cl, ll, cr, lr, ii, jj, k)
+            osa = self.kernels.osa_decisions
+            mode = MODE_DL if kind == "dl" else MODE_PDL
+            return lambda ii, jj: osa(cl, ll, cr, lr, ii, jj, k, mode=mode)
         if kind == "ham":
             return lambda ii, jj: hamming_pairs(cl, ll, cr, lr, ii, jj) <= k
         if kind == "jaro":
@@ -316,32 +303,10 @@ class PairStage:
         if name == "length":
             return np.abs(self.len_l[ii] - self.len_r[jj]) <= self.k
         if name == "fbf":
-            if self._native is not None:
-                return self._native.sig_pair_mask(
-                    self.sigs_l, self.sigs_r, ii, jj, self.fbf_bound
-                )
-            db = np.zeros(len(ii), dtype=np.uint16)
-            for w in range(self.sigs_l.shape[1]):
-                db += popcount_batch_u64(self.sigs_l[ii, w] ^ self.sigs_r[jj, w])
-            return db <= self.fbf_bound
+            return self.kernels.sig_pair_mask(
+                self.sigs_l, self.sigs_r, ii, jj, self.fbf_bound
+            )
         raise ValueError(f"unknown filter {name!r}")
-
-    def _dense_filter_mask(self, name: str, c0: int, c1: int) -> np.ndarray:
-        """One named filter over left rows ``c0:c1`` × all of right."""
-        if name == "length":
-            return np.abs(self.len_l[c0:c1, None] - self.len_r[None, :]) <= self.k
-        pl, pr = self.sigs_l, self.sigs_r
-        words = pl.shape[1]
-        acc = None
-        for w in range(words):
-            pc = popcount_batch_u64(pl[c0:c1, w][:, None] ^ pr[:, w][None, :])
-            if words == 1:
-                return pc <= self.fbf_bound
-            if acc is None:
-                acc = pc.astype(np.uint16)
-            else:
-                acc += pc
-        return acc <= self.fbf_bound
 
     # -- execution -----------------------------------------------------------
 
@@ -426,31 +391,13 @@ class PairStage:
         """Dense sweep of left rows ``r0:r1`` against all of right.
 
         Global row indices throughout, so the positional diagonal and
-        recorded matches need no rebasing.  Stage counters are
-        cumulative-AND survivor counts on both the fused native sweep
-        and the NumPy mask chain, so the merged funnel is identical.
+        recorded matches need no rebasing.  Each ``filter_chunk``-pair
+        row block is one fused kernel sweep (filters + candidate
+        emission) whose stage counters are cumulative-AND survivor
+        counts, so the merged funnel does not depend on the blocking.
         """
         nr = len(self.len_r)
-        if nr == 0 or r1 <= r0:
-            return
-        native = self._native
-        if native is not None and spec.filters and native.supports_filters(
-            spec.filters
-        ):
-            # Fused sweep: filters + candidate emission in one compiled
-            # pass, no dense boolean intermediates.
-            block = (r1 - r0) * nr
-            tally.compared += block
-            obs.add_pairs(block)
-            ii, jj, passed = native.fused_rows_u64(
-                self.sigs_l, self.sigs_r, self.len_l, self.len_r, r0, r1,
-                bound=self.fbf_bound, k=self.k, filters=spec.filters,
-            )
-            tested = block
-            for fname, npass in zip(spec.filters, passed):
-                obs.add_stage(fname, tested, int(npass))
-                tested = int(npass)
-            self._tally(tally, ii, jj, None, spec.verifier, obs)
+        if nr == 0:
             return
         rows_per = max(1, self.filter_chunk // nr)
         for c0 in range(r0, r1, rows_per):
@@ -458,24 +405,14 @@ class PairStage:
             block = (c1 - c0) * nr
             tally.compared += block
             obs.add_pairs(block)
-            mask = None
+            ii, jj, passed = self.kernels.fused_rows_u64(
+                self.sigs_l, self.sigs_r, self.len_l, self.len_r, c0, c1,
+                bound=self.fbf_bound, k=self.k, filters=spec.filters,
+            )
             tested = block
-            for fname in spec.filters:
-                fm = self._dense_filter_mask(fname, c0, c1)
-                mask = fm if mask is None else (mask & fm)
-                passed = int(np.count_nonzero(mask))
-                obs.add_stage(fname, tested, passed)
-                tested = passed
-            if mask is None:
-                ii = np.repeat(np.arange(c0, c1, dtype=np.int64), nr)
-                jj = np.tile(np.arange(nr, dtype=np.int64), c1 - c0)
-            else:
-                # flatnonzero over the raveled *bool* mask is ~10x a 2-D
-                # nonzero — the survivor extraction is the sweep's
-                # second-biggest cost after the popcount itself.
-                idx = np.flatnonzero(mask.ravel())
-                ii = idx // nr + c0
-                jj = idx % nr
+            for fname, npass in zip(spec.filters, passed):
+                obs.add_stage(fname, tested, int(npass))
+                tested = int(npass)
             self._tally(tally, ii, jj, None, spec.verifier, obs)
 
 
@@ -533,10 +470,11 @@ class VectorEngine(PairStage):
         chunk-size ablation shows a 2-2.5x DL penalty for chunks that
         spill to memory.
     filter_chunk:
-        Maximum pairs per chunk for the cheap sweeps (signature
-        XOR+popcount, length masks, Hamming, Soundex), whose per-pair
-        state is a few bytes; large chunks amortize the per-chunk
-        Python overhead these are dominated by.
+        Maximum pairs per chunk for the cheap sweeps (the dense
+        length+FBF row sweep, Hamming, Soundex), whose per-pair state
+        is a few bytes; large chunks amortize the per-chunk Python
+        overhead these are dominated by.  The full-product signature
+        scan is chunked by the kernel provider itself.
     collector:
         A :class:`repro.obs.StatsCollector` receiving signature-"Gen"
         spans at construction and the funnel counters of every
@@ -549,11 +487,11 @@ class VectorEngine(PairStage):
         hook: one prepared engine per index generation, one cheap
         per-batch engine over the queries.
     kernels:
-        Inner-kernel selection: ``"numpy"`` (default) keeps the pure
-        NumPy tier; ``"native"`` uses the compiled kernels of
-        :mod:`repro.native` (warn-once NumPy fallback when no provider
-        loads); ``"auto"`` uses them silently when available.  Every
-        kernel choice produces bit-identical decisions — only the
+        Kernel provider request for :func:`repro.native.resolve_kernels`:
+        ``"numpy"`` (default) picks the NumPy provider; ``"native"`` the
+        compiled ``cc`` provider (warn-once NumPy fallback when it does
+        not load); ``"auto"`` the compiled one silently when available.
+        Every choice produces bit-identical decisions — only the
         constant factors change.
     """
 
@@ -583,7 +521,6 @@ class VectorEngine(PairStage):
         self.left = left
         self.right = right
         self.collector = collector
-        self.kernels = kernels or "numpy"
         obs = collector if collector else NULL_COLLECTOR
         self._obs = NULL_COLLECTOR  # run-scoped; set by run()
         if share_right is not None:
@@ -615,7 +552,7 @@ class VectorEngine(PairStage):
             self_join=right is left
             or (len(left) == len(right) and list(left) == list(right)),
             record_matches=record_matches,
-            native=resolve_kernels(self.kernels, warn_key="engine"),
+            kernels=resolve_kernels(kernels, warn_key="engine"),
         )
         self._len_groups_l: dict[int, np.ndarray] | None = None
         self._len_groups_r: dict[int, np.ndarray] | None = None
@@ -706,25 +643,12 @@ class VectorEngine(PairStage):
 
     # -- candidate generators --------------------------------------------------
 
-    def _fbf_scan(
-        self, sigs_l: np.ndarray, sigs_r: np.ndarray, n_right: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One XOR+popcount+threshold sweep, native kernel when armed.
-
-        Both paths emit candidates in identical row-major order, so
-        downstream match lists are bit-identical either way.
-        """
-        if self._native is not None:
-            return self._native.fbf_candidates(sigs_l, sigs_r, self.fbf_bound)
-        chunk_rows = max(1, self.filter_chunk // max(1, n_right))
-        return fbf_candidates(
-            sigs_l, sigs_r, self.fbf_bound, chunk_rows=chunk_rows
-        )
-
     def _fbf_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         obs = self._obs
         with obs.span("fbf.filter"):
-            ii, jj = self._fbf_scan(self.sigs_l, self.sigs_r, len(self.right))
+            ii, jj = self.kernels.fbf_candidates(
+                self.sigs_l, self.sigs_r, self.fbf_bound
+            )
         obs.add_stage("fbf", len(self.left) * len(self.right), len(ii))
         return ii, jj
 
@@ -785,10 +709,8 @@ class VectorEngine(PairStage):
         with obs.span("fbf.filter"):
             for left_idx, right_idx in self._length_group_blocks():
                 length_passed += len(left_idx) * len(right_idx)
-                bi, bj = self._fbf_scan(
-                    self.sigs_l[left_idx],
-                    self.sigs_r[right_idx],
-                    len(right_idx),
+                bi, bj = self.kernels.fbf_candidates(
+                    self.sigs_l[left_idx], self.sigs_r[right_idx], self.fbf_bound
                 )
                 keep_i.append(left_idx[bi])
                 keep_j.append(right_idx[bj])

@@ -340,14 +340,15 @@ def _resolve_side(side: SideArrays) -> dict[str, np.ndarray | None]:
     }
 
 
-def _stage(L: dict, R: dict, *, kernels: str, **params) -> PairStage:
-    """The engine's pair stage over two resolved sides."""
+def _stage(L: dict, R: dict, **params) -> PairStage:
+    """The engine's pair stage over two resolved sides, on the compiled
+    kernels when a provider loads in this worker."""
     return PairStage(
         (L["codes"], L["lengths"], L["sigs"]),
         (R["codes"], R["lengths"], R["sigs"]),
         sdx=(L["sdx"], R["sdx"]),
         vid=(L["vid"], R["vid"]),
-        native=resolve_kernels(kernels, warn_key="hybrid"),
+        kernels=resolve_kernels("auto"),
         **params,
     )
 
@@ -377,8 +378,6 @@ class _HybridTask:
     w_left: tuple | None = None
     w_right: tuple | None = None
     symmetric: bool = False
-    #: kernel tier request resolved worker-side ("auto" probes quietly)
-    kernels: str = "auto"
 
 
 def _exec_hybrid(task: _HybridTask) -> dict:
@@ -387,7 +386,6 @@ def _exec_hybrid(task: _HybridTask) -> dict:
     stage = _stage(
         _resolve_side(task.left),
         _resolve_side(task.right),
-        kernels=task.kernels,
         k=task.k,
         fbf_bound=task.fbf_bound,
         theta=task.theta,
@@ -438,7 +436,6 @@ class _ShardQueryTask:
     k: int
     fbf_bound: int
     collect: bool
-    kernels: str = "auto"
 
 
 #: worker-side shard ownership: shard id -> (generation, resolved side)
@@ -463,7 +460,6 @@ def _exec_shard_query(task: _ShardQueryTask) -> dict:
     stage = _stage(
         _resolve_side(task.queries),
         held[1],
-        kernels=task.kernels,
         k=task.k,
         fbf_bound=task.fbf_bound,
         record_matches=True,
@@ -486,7 +482,6 @@ def shard_query_call(
     k: int,
     method: str = "FPDL",
     collect: bool = False,
-    kernels: str = "auto",
 ) -> tuple:
     """Build one ``(fn, payload)`` pool call for a shard query slice."""
     return (
@@ -500,7 +495,6 @@ def shard_query_call(
             k=k,
             fbf_bound=scheme.safe_threshold(k),
             collect=collect,
-            kernels=kernels,
         ),
     )
 
@@ -1086,7 +1080,6 @@ def run_hybrid(
     record_matches: bool = False,
     weighter: PairWeighter | None = None,
     shared_source=None,
-    kernels: str = "auto",
 ) -> JoinResult:
     """One hybrid join over already-published sides.
 
@@ -1098,10 +1091,8 @@ def run_hybrid(
     "datasets cross the boundary at most once" evidence.  ``weighter``
     requires an explicit candidate stream (row-range tasks see
     range-local left indices, which a symmetric weighter would
-    mis-double).  ``kernels`` picks
-    the worker-side kernel tier: ``"auto"`` (default) uses compiled
-    kernels when a provider loads, ``"numpy"`` pins pure NumPy, and
-    ``"native"`` warns once per worker if no provider is available.
+    mis-double).  Workers run the compiled kernels when a provider
+    loads, else the NumPy provider.
     """
     spec = method_registry().get(method)
     if spec is None:
@@ -1176,7 +1167,6 @@ def run_hybrid(
                 w_left=w_left_ref,
                 w_right=w_right_ref,
                 symmetric=symmetric,
-                kernels=kernels,
             ),
         )
         for work in works

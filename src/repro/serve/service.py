@@ -166,7 +166,6 @@ class MatchService:
         shards: int = 1,
         metrics: MetricsRegistry | bool | None = None,
         candidates: str = "auto",
-        kernels: str = "auto",
     ):
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
@@ -177,9 +176,6 @@ class MatchService:
             )
         self.k = k
         self._candidates = candidates
-        #: kernel tier for every engine this service builds and for the
-        #: pooled workers ("auto" = compiled kernels when available)
-        self._kernels = kernels
         if shards > 1:
             self._index = ShardedIndex(
                 strings,
@@ -541,7 +537,7 @@ class MatchService:
             with self._obs.span("serve.prepare_engine"):
                 self._base_engine = VectorEngine(
                     [], fbf.strings, k=k, scheme_kind=fbf.scheme,
-                    kernels=self._kernels,
+                    kernels="auto",
                 )
                 self._base_generation = gen
                 self._obs.add_counter("engine_rebuilds")
@@ -555,7 +551,7 @@ class MatchService:
             k=k,
             share_right=self._base_engine,
             record_matches=True,
-            kernels=self._kernels,
+            kernels="auto",
         )
 
     def _roster_side(self):
@@ -602,7 +598,6 @@ class MatchService:
             collector=self._obs if self._obs else None,
             record_matches=True,
             shared_source=roster,
-            kernels=self._kernels,
         )
         if self.metrics:
             shm.publish_pool_metrics(pool, self.metrics, self.events)
@@ -760,7 +755,7 @@ class MatchService:
                     shard.index.strings,
                     k=k,
                     scheme_kind=shard.index.scheme,
-                    kernels=self._kernels,
+                    kernels="auto",
                 )
                 held = (gen, base)
                 self._shard_engines[si] = held
@@ -853,7 +848,7 @@ class MatchService:
                 k=k,
                 share_right=self._shard_engine(si, k),
                 record_matches=True,
-                kernels=self._kernels,
+                kernels="auto",
             )
             result = engine.run_candidates(
                 "FPDL", counted(), collector=obs if obs else None
@@ -911,7 +906,6 @@ class MatchService:
                     scheme=roster.scheme,
                     k=k,
                     collect=bool(obs),
-                    kernels=self._kernels,
                 )
             )
             slots.append(self._placement.get(si, si % pool.workers))

@@ -27,6 +27,17 @@ settings.load_profile("repro")
 
 
 @pytest.fixture
+def fresh_native():
+    """Re-probe the compiled kernel provider (and re-arm its warn-once
+    fallback warnings) after env monkeypatching, restore after."""
+    from repro import native
+
+    native.reset()
+    yield
+    native.reset()
+
+
+@pytest.fixture
 def rng() -> random.Random:
     """A fresh deterministic RNG per test."""
     return random.Random(0xF5F)

@@ -1,9 +1,11 @@
 """Unit and property tests for the FBF signature index."""
 
+import os
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.index import FBFIndex
@@ -165,6 +167,16 @@ class TestMyersVerifier:
             i for i, s in enumerate(pool) if levenshtein(query, s) <= k
         )
         assert got == want
+
+    @pytest.mark.parametrize("length", [10, 63, 64, 65, 70])
+    def test_transposition_counts_two_at_every_length(self, length):
+        # Past the 64-char word the verifier leaves the bit-parallel
+        # kernel; it must stay Levenshtein rather than switch to OSA.
+        base = "".join(str(i % 10) for i in range(length))
+        twin = base[1] + base[0] + base[2:]
+        idx = FBFIndex([twin], scheme="numeric", verifier="myers")
+        assert idx.search(base, 1) == []
+        assert idx.search(base, 2) == [0]
 
 
 class TestSearchCollector:
@@ -329,3 +341,108 @@ class TestPackedRoundtrip:
                 idx.packed_buckets(),
                 scheme=scheme_for("numeric"),
             )
+
+
+# ---------------------------------------------------------------------------
+# Cross-provider equivalence: compiled kernels vs the NumPy fallback
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _near_duplicate_pool(draw):
+    """Short (0-3) and word-boundary (63-65) strings over a small
+    NUL-free latin-1 alphabet, each with edited near-duplicates, so
+    every filter and verifier branch sees true and false matches."""
+    alphabet = draw(
+        st.lists(
+            st.characters(min_codepoint=1, max_codepoint=255),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    lengths = st.one_of(st.integers(0, 3), st.integers(63, 65))
+    bases = draw(
+        st.lists(
+            lengths.flatmap(
+                lambda n: st.text(alphabet, min_size=n, max_size=n)
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    out = list(bases)
+    for s in bases:
+        chars = list(s)
+        for _ in range(draw(st.integers(0, 2))):
+            op = draw(st.sampled_from(["swap", "sub", "del", "ins"]))
+            pos = draw(st.integers(0, max(0, len(chars) - 1)))
+            ch = draw(st.sampled_from(alphabet))
+            if op == "swap" and len(chars) >= 2:
+                pos = min(pos, len(chars) - 2)
+                chars[pos], chars[pos + 1] = chars[pos + 1], chars[pos]
+            elif op == "sub" and chars:
+                chars[pos] = ch
+            elif op == "del" and chars:
+                del chars[pos]
+            else:
+                chars.insert(pos, ch)
+        out.append("".join(chars))
+    return out
+
+
+def _index_answers(pool, queries, k):
+    """Everything the index answers for one pool under the active
+    kernel provider: search per verifier, and the raw candidate blocks."""
+    idx = FBFIndex(pool)
+    searches = {
+        v: [idx.search(q, k, verifier=v) for q in queries]
+        for v in FBFIndex.VERIFIERS
+    }
+    blocks = [
+        (qi.tolist(), ids.tolist())
+        for qi, ids in idx.candidate_blocks(queries, k, max_pairs=8)
+    ]
+    return searches, blocks
+
+
+class TestCrossProvider:
+    @settings(
+        max_examples=40,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(_near_duplicate_pool(), st.integers(0, 2))
+    def test_compiled_and_numpy_answer_identically(
+        self, fresh_native, pool, k
+    ):
+        from repro import native
+
+        queries = pool[: max(1, len(pool) // 2)] + [pool[-1]]
+        native.reset()
+        if native.available():
+            assert native.resolve_kernels("auto").kind == "cc"
+        compiled = _index_answers(pool, queries, k)
+        with mock.patch.dict(os.environ, {"REPRO_NO_NATIVE": "1"}):
+            native.reset()
+            assert native.resolve_kernels("auto").kind == "numpy"
+            fallback = _index_answers(pool, queries, k)
+        native.reset()
+        assert compiled == fallback
+
+        searches, blocks = compiled
+        for qi, q in enumerate(queries):
+            for v in FBFIndex.VERIFIERS:
+                metric = levenshtein if v == "myers" else damerau_levenshtein
+                want = [
+                    i
+                    for i, s in enumerate(pool)
+                    if q and s and metric(q, s) <= k
+                ]
+                assert searches[v][qi] == want, (v, q)
+        pairs = {
+            (qi, sid) for qis, ids in blocks for qi, sid in zip(qis, ids)
+        }
+        for qi, q in enumerate(queries):
+            for sid, s in enumerate(pool):
+                if damerau_levenshtein(q, s) <= k:
+                    assert (qi, sid) in pairs, (q, s)

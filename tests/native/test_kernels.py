@@ -34,15 +34,6 @@ needs_native = pytest.mark.skipif(
 )
 
 
-@pytest.fixture
-def fresh_native():
-    """Re-probe the provider (and re-arm its warn-once fallback
-    warnings) after env monkeypatching, restore after."""
-    native.reset()
-    yield
-    native.reset()
-
-
 def _strings_with_boundaries(seed: int = 3) -> list[str]:
     rng = np.random.default_rng(seed)
     alpha = "abcAB "
@@ -236,11 +227,27 @@ class TestFusedRows:
         assert np.array_equal(gj, wj.astype(np.int64))
         assert list(passed) == want_passed
 
-    def test_supports_filters(self):
-        ks = native.load_kernels()
-        assert ks.supports_filters(("length", "fbf"))
-        assert ks.supports_filters(())
-        assert not ks.supports_filters(("length", "soundex"))
+
+class TestNumpyProvider:
+    """The fallback provider behind the same KernelSet API."""
+
+    def test_passes_the_compiled_providers_self_check(self):
+        ks = native.resolve_kernels("numpy")
+        assert ks.kind == "numpy"
+        assert native._self_check(ks) is None
+
+    @pytest.mark.parametrize("request_", ["numpy", "auto"])
+    def test_fused_rows_without_filters_emits_every_pair(self, request_):
+        rng = np.random.default_rng(17)
+        sl = rng.integers(0, 1 << 63, size=(6, 1), dtype=np.uint64)
+        sr = rng.integers(0, 1 << 63, size=(4, 1), dtype=np.uint64)
+        lens = np.zeros(6, dtype=np.int64)
+        gi, gj, passed = native.resolve_kernels(request_).fused_rows_u64(
+            sl, sr, lens, lens[:4], 2, 5, bound=0, k=0, filters=()
+        )
+        assert gi.tolist() == [2] * 4 + [3] * 4 + [4] * 4
+        assert gj.tolist() == [0, 1, 2, 3] * 3
+        assert len(passed) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +352,9 @@ class TestResolution:
             w for w in recwarn.list if issubclass(w.category, RuntimeWarning)
         ]
 
-    def test_numpy_request_returns_none(self):
-        assert native.resolve_kernels("numpy") is None
-        assert native.resolve_kernels(None) is None
+    def test_numpy_request_returns_numpy_provider(self):
+        assert native.resolve_kernels("numpy").kind == "numpy"
+        assert native.resolve_kernels(None).kind == "numpy"
 
     def test_disabled_by_env(self, fresh_native, monkeypatch):
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
@@ -363,13 +370,14 @@ class TestResolution:
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
         native.reset()
         with pytest.warns(RuntimeWarning, match="REPRO_NO_NATIVE"):
-            assert native.resolve_kernels("native") is None
+            assert native.resolve_kernels("native").kind == "numpy"
         # warn-once: the second resolution is silent
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert native.resolve_kernels("native") is None
+            assert native.resolve_kernels("native").kind == "numpy"
+            assert native.resolve_kernels("auto").kind == "numpy"
 
     def test_engine_falls_back_bit_identically(
         self, fresh_native, monkeypatch

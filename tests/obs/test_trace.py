@@ -1,6 +1,6 @@
 """Unit tests for the nested-span tracer."""
 
-from repro.obs import NULL_SPAN, Tracer, current_tracer, trace, use_tracer
+from repro.obs import Tracer
 from repro.obs.trace import SAMPLE_WINDOW, SpanStat
 
 
@@ -205,17 +205,3 @@ class TestMerge:
         assert mine.percentile_ns(95) >= mine.percentile_ns(50)
         assert mine.percentile_ns(99) >= mine.percentile_ns(95)
 
-
-class TestModuleLevelTrace:
-    def test_inactive_returns_shared_null_span(self):
-        assert current_tracer() is None
-        assert trace("anything") is NULL_SPAN
-
-    def test_use_tracer_routes_and_restores(self):
-        t = Tracer()
-        with use_tracer(t) as active:
-            assert active is t and current_tracer() is t
-            with trace("fbf.filter"):
-                pass
-        assert current_tracer() is None
-        assert t.spans["fbf.filter"].calls == 1

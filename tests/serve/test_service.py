@@ -35,6 +35,13 @@ class TestQuery:
         assert svc.query("ABCDE", k=1).ids == (0, 1)  # transposition
         assert svc.query("ABCDE", k=1, method="myers").ids == (0,)
 
+    @pytest.mark.parametrize("length", [63, 64, 65, 70])
+    def test_myers_counts_transpositions_past_one_word(self, length):
+        base = "".join(chr(ord("A") + i % 26) for i in range(length))
+        svc = MatchService([base[1] + base[0] + base[2:]], k=1)
+        assert svc.query(base, method="myers").ids == ()
+        assert svc.query(base, k=2, method="myers").ids == (0,)
+
     def test_rejects_bad_arguments(self):
         svc = MatchService(NAMES)
         with pytest.raises(ValueError, match="method"):
