@@ -39,7 +39,7 @@ def test_ablation_index_scaling(benchmark):
     per_query = {}
     for size in sizes:
         subset = pool[:size]
-        index = FBFIndex(subset, scheme="numeric", verifier="osa-bitparallel")
+        index = FBFIndex(subset, scheme="numeric")
         index.search(subset[0], 1)  # pack outside the timed region
 
         def run(index=index):

@@ -465,7 +465,8 @@ def _serve_source_args(sub: argparse.ArgumentParser) -> None:
         "--method",
         default="osa",
         choices=["osa", "osa-bitparallel", "myers"],
-        help="query verifier (also the index default)",
+        help='query verifier (also the index default); "osa-bitparallel" '
+        'is an alias of "osa"',
     )
     sub.add_argument(
         "--workers",

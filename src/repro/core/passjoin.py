@@ -49,9 +49,10 @@ sorted array of 64-bit polynomial hashes of the segment's code points
 with the indexed ids alongside, and a probe batch hashes its windows
 vectorized and binary-searches the buckets.  Hash collisions produce
 spurious candidates only (the verifier decides); they never drop one.
-Code points come from UTF-32 so any Python string — full Unicode, NUL
-bytes, empty — round-trips without the latin-1 restriction of the
-packed join codecs.
+Code points come from :func:`repro.distance.codec.encode_utf32` (windows
+stay inside each string's length, so padding is never read): any Python
+string — full Unicode, NUL bytes, empty — round-trips without the
+latin-1 restriction of the packed join codecs.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 import numpy as np
+
+from repro.distance.codec import encode_utf32
 
 __all__ = ["PassJoinIndex", "dedup_sorted", "segment_layout"]
 
@@ -86,26 +89,6 @@ def segment_layout(length: int, parts: int) -> list[tuple[int, int]]:
         layout.append((start, seg_len))
         start += seg_len
     return layout
-
-
-def _encode_codes(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Strings as a padded uint32 code-point matrix plus lengths.
-
-    UTF-32-LE gives one code unit per code point for *every* Python
-    string (surrogates passed through), so hashing never has to reject
-    input; padding cells are never read because windows stay inside
-    each string's true length.
-    """
-    n = len(strings)
-    lens = np.fromiter((len(s) for s in strings), dtype=np.int64, count=n)
-    width = int(lens.max()) if n else 0
-    codes = np.zeros((n, max(width, 1)), dtype=np.uint32)
-    for i, s in enumerate(strings):
-        if s:
-            codes[i, : len(s)] = np.frombuffer(
-                s.encode("utf-32-le", "surrogatepass"), dtype="<u4"
-            )
-    return codes, lens
 
 
 def _fold(h: np.ndarray, col: np.ndarray) -> np.ndarray:
@@ -165,7 +148,7 @@ class PassJoinIndex:
         self.strings = list(strings)
         self.k = k
         self.parts = k + 1
-        codes, lens = _encode_codes(self.strings)
+        codes, lens = encode_utf32(self.strings)
         self._lens = lens
         #: (length, segment_i) -> (sorted hashes, ids in hash order)
         self._buckets: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -283,7 +266,7 @@ class PassJoinIndex:
         """
         if not len(self.strings) or not len(queries):
             return
-        q_codes, q_lens = _encode_codes(queries)
+        q_codes, q_lens = encode_utf32(queries)
         n_index = len(self.strings)
         for qlen in dedup_sorted(q_lens):
             qlen = int(qlen)

@@ -34,7 +34,6 @@ from repro.distance.codec import (
     ASCII_CODEC,
     DIGIT_CODEC,
     Codec,
-    encode_batch,
     encode_raw,
 )
 from repro.distance.damerau import damerau_levenshtein, true_damerau_levenshtein
@@ -77,7 +76,6 @@ __all__ = [
     "cosine_qgrams",
     "dice",
     "damerau_levenshtein",
-    "encode_batch",
     "encode_raw",
     "hamming",
     "hamming_matcher",

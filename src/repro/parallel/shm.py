@@ -180,6 +180,17 @@ class _SegmentOwner:
         self._segments.append(seg)
         return seg.ref
 
+    def _publish_side(self, strings, vid=None) -> SideArrays:
+        """Encode one side under ``self.scheme`` and publish its arrays."""
+        codes, lengths, sigs = encode_side(strings, self.scheme)
+        return SideArrays(
+            n=len(strings),
+            codes=self._seg(codes),
+            lengths=self._seg(lengths),
+            sigs=self._seg(sigs),
+            vid=None if vid is None else self._seg(vid),
+        )
+
     @property
     def bytes_shared(self) -> int:
         return sum(seg.nbytes for seg in self._segments)
@@ -210,13 +221,7 @@ class SharedSide(_SegmentOwner):
         super().__init__()
         self.scheme = scheme
         self.n = len(strings)
-        codes, lengths, sigs = encode_side(strings, scheme)
-        self.arrays = SideArrays(
-            n=self.n,
-            codes=self._seg(codes),
-            lengths=self._seg(lengths),
-            sigs=self._seg(sigs),
-        )
+        self.arrays = self._publish_side(strings)
 
 
 class SharedDatasets(_SegmentOwner):
@@ -252,16 +257,6 @@ class SharedDatasets(_SegmentOwner):
         )
         if need_sdx:
             self.add_sdx(left, right)
-
-    def _publish_side(self, strings, vid) -> SideArrays:
-        codes, lengths, sigs = encode_side(strings, self.scheme)
-        return SideArrays(
-            n=len(strings),
-            codes=self._seg(codes),
-            lengths=self._seg(lengths),
-            sigs=self._seg(sigs),
-            vid=None if vid is None else self._seg(vid),
-        )
 
     def add_sdx(self, left: Sequence[str], right: Sequence[str]) -> None:
         """Publish :func:`~repro.parallel.chunked.soundex_ids`

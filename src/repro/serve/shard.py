@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+from repro.core.index import FBFIndex
 from repro.core.signatures import SignatureScheme, detect_kind, scheme_for
 from repro.obs.events import NULL_EVENTS
 from repro.obs.metrics import NULL_METRICS
@@ -104,7 +105,7 @@ class ShardedIndex:
             scheme = scheme_for(kind)
         self.n_shards = int(n_shards)
         self._scheme = scheme
-        self._verifier = verifier
+        self._verifier = FBFIndex.resolve_verifier(verifier)
         self.compact_ratio = compact_ratio
         self._shards: list[MutableIndex] = [
             MutableIndex(

@@ -238,7 +238,7 @@ def _sharded_from_npz(npz, header):
     index._reset_telemetry()
     index.n_shards = int(header["n_shards"])
     index._scheme = scheme_from_name(str(header["scheme"]))
-    index._verifier = str(header["verifier"])
+    index._verifier = FBFIndex.resolve_verifier(str(header["verifier"]))
     index.compact_ratio = header.get("compact_ratio")
     index._shards = []
     index._locate = {}

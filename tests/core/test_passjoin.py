@@ -12,6 +12,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.passjoin import PassJoinIndex, dedup_sorted, segment_layout
 from repro.distance.damerau import damerau_levenshtein
@@ -98,6 +100,38 @@ class TestCompleteness:
             for sid, s in enumerate(strings):
                 if damerau_levenshtein(q, s) <= k:
                     assert sid in got, f"missed {q!r} ~ {s!r} at k={k}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.text(
+                alphabet=st.sampled_from(
+                    ["a", "b", "\x00", "\ud800", "\udfff", "\U0001f600", "\xe9"]
+                ),
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        st.integers(0, 2),
+    )
+    def test_non_bmp_surrogate_and_nul_strings(self, strings, k):
+        # Code points above the BMP, lone surrogates and NUL (including
+        # a trailing NUL, which padding must not swallow) are ordinary
+        # characters to the index: its candidates, verified, are exactly
+        # the brute-force OSA <= k pairs.
+        index = PassJoinIndex(strings, k=k)
+        for q in strings + ["\x00", "a\x00", "\U0001f600\ud800"]:
+            got = set(index.candidates(q).tolist())
+            want = {
+                sid
+                for sid, s in enumerate(strings)
+                if damerau_levenshtein(q, s) <= k
+            }
+            verified = {
+                sid for sid in got if damerau_levenshtein(q, strings[sid]) <= k
+            }
+            assert verified == want, (q, strings, k)
 
     def test_empty_strings_reachable(self):
         index = PassJoinIndex(["", "a", "ab"], k=1)

@@ -35,6 +35,14 @@ class TestQuery:
         assert svc.query("ABCDE", k=1).ids == (0, 1)  # transposition
         assert svc.query("ABCDE", k=1, method="myers").ids == (0,)
 
+    def test_osa_bitparallel_is_an_alias_of_osa(self):
+        svc = MatchService(["ABCDE", "ABDCE"], k=1, verifier="osa-bitparallel")
+        assert svc.stats()["verifier"] == "osa"
+        res = svc.query_batch(["ABCDE"], method="osa-bitparallel")[0]
+        assert res.method == "osa" and res.ids == (0, 1)
+        # One cache entry serves both names.
+        assert svc.query("ABCDE", method="osa").cached is True
+
     @pytest.mark.parametrize("length", [63, 64, 65, 70])
     def test_myers_counts_transpositions_past_one_word(self, length):
         base = "".join(chr(ord("A") + i % 26) for i in range(length))

@@ -43,6 +43,22 @@ class TestSaveLoad:
         # New ids continue after the saved high-water mark.
         assert loaded.add("TAYLOR") == idx.add("TAYLOR")
 
+    def test_osa_bitparallel_header_loads_as_osa(self, tmp_path):
+        # Snapshots written before "osa-bitparallel" became an alias
+        # name it in their header; they load as the "osa" verifier.
+        idx = MutableIndex(NAMES + ["SMIHT"])
+        path = save_index(idx, tmp_path / "snap.npz")
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = dict(npz)
+        header = json.loads(str(arrays["__header__"][()]))
+        header["verifier"] = "osa-bitparallel"
+        arrays["__header__"] = np.asarray(json.dumps(header))
+        np.savez(path, **arrays)
+        loaded, _ = load_index(path)
+        assert loaded.verifier == "osa"
+        for q in ("SMITH", "JONES", "BROWN", "SMIHT", ""):
+            assert loaded.search(q, 1) == idx.search(q, 1), q
+
     def test_loaded_index_is_packed(self, tmp_path):
         idx = MutableIndex(NAMES)
         path = save_index(idx, tmp_path / "snap.npz")
