@@ -84,7 +84,7 @@ from repro.parallel.chunked import VectorEngine
 from repro.serve import MatchService, MutableIndex, QueryResult
 from repro.stream import StreamResult, join_stream
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "CollapsedSide",
